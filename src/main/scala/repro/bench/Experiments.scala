@@ -9,10 +9,9 @@ import repro.sim.{RuntimeProfile, SimDataflowRuntime}
 import repro.sim.SimDataflowRuntime.{EndpointStats, Trace}
 import repro.spark.SparkStreamRuntime
 
-/** The evaluation experiments (one per table in EXPERIMENTS.md), shared by
-  * the `bench/` ScalaTest harnesses and the `jobs/` spark-submit
-  * entrypoints. Each function returns the table's data; the caller formats
-  * and asserts. */
+/** The evaluation experiments (one per table in EXPERIMENTS.md), run by
+  * the `bench/` ScalaTest harnesses. Each function returns the table's
+  * data; the caller formats and asserts. */
 object Experiments {
 
   val endpoints: List[String] = List("login", "search", "recommend", "reserve")

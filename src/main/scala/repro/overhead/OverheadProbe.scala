@@ -7,8 +7,9 @@ import repro.core.EType._
 import repro.core.Value._
 import repro.core.Events.{EntityAddr, Invoke}
 
-/** The §4 "System overhead" experiment: per-event component timing on the
-  * real operator path, with entity state padded from 50 to 200 KB.
+/** The §4 "System overhead" experiment: per-event component timing on a
+  * hand copy of the operator path, with entity state padded from 50 to
+  * 200 KB.
   *
   * For each event we time the same stages every runtime executes and
   * attribute them as the paper does:

@@ -9,30 +9,34 @@ import repro.core.Dataflow.DataflowGraph
   *
   * Executes the compiled dataflow graph in-process with HashMap state — the
   * environment the paper recommends for debugging and unit-testing a
-  * StateFlow program before deploying it to a distributed runtime. Events
-  * travel through a FIFO queue standing in for the ingress/egress routers;
-  * each dequeue is one "hop" (what Kafka re-entry does in the distributed
-  * deployments), so [[hops]] counts exactly the events a distributed
-  * runtime would move.
+  * StateFlow program before deploying it to a distributed runtime ("state is
+  * kept in a local HashMap data structure instead of a state management
+  * backend"). Events travel through a FIFO queue standing in for the
+  * ingress/egress routers; each dequeue is one "hop" (what Kafka re-entry
+  * does in the distributed deployments), so [[hops]] counts exactly the
+  * events a distributed runtime would move.
   */
-final class LocalRuntime(val graph: DataflowGraph, val store: StateStore = new HashMapStateStore) {
+final class LocalRuntime(val graph: DataflowGraph) {
 
   /** Total events processed (initial invocations + all remote-call and
     * return hops). */
   var hops: Long = 0L
 
-  /** Per-request hop trace: sequence of entity addresses that processed an
-    * event for the request, in order. Used by the discrete-event simulator
-    * to replay real request chains, and by tests to check hop counts. */
+  /** Hop traces of the latest [[run]] (or [[invoke]]) call: per request id,
+    * the entity addresses that processed an event for the request, in order.
+    * [[run]] clears it on entry, so it holds one call's requests, not every
+    * request served. Used by the discrete-event simulator to replay real
+    * request chains, and by tests to check hop routes. */
   val traces = mutable.Map.empty[String, Vector[EntityAddr]]
+
+  /** Entity field maps by (class, key), for entities that materialized. */
+  private val state = mutable.HashMap.empty[EntityAddr, Map[String, Value]]
 
   private var nextRequest = 0L
 
   /** Seed an entity's state directly (workload initialization). */
-  def seed(clazz: String, key: String, fields: Map[String, Value]): Unit = {
-    val base = graph.operator(clazz).initialState(key)
-    store.put(clazz, key, base ++ fields)
-  }
+  def seed(clazz: String, key: String, fields: Map[String, Value]): Unit =
+    state(EntityAddr(clazz, key)) = graph.operator(clazz).initialState(key) ++ fields
 
   /** Invoke an entity method and run the dataflow to completion; returns
     * the client-visible return value. */
@@ -46,6 +50,7 @@ final class LocalRuntime(val graph: DataflowGraph, val store: StateStore = new H
   /** Process a batch of initial events to completion; returns the reply
     * value per request id. */
   def run(initial: List[Invoke]): Map[String, Value] = {
+    traces.clear()
     val queue = mutable.Queue.empty[Invoke]
     queue ++= initial
     val replies = mutable.Map.empty[String, Value]
@@ -53,8 +58,8 @@ final class LocalRuntime(val graph: DataflowGraph, val store: StateStore = new H
       val ev = queue.dequeue()
       hops += 1
       traces.updateWith(ev.requestId)(t => Some(t.getOrElse(Vector.empty) :+ ev.target))
-      val res = OperatorExec.step(graph, store.get(ev.target.clazz, ev.target.key), ev)
-      store.put(ev.target.clazz, ev.target.key, res.fields)
+      val res = OperatorExec.step(graph, state.get(ev.target), ev)
+      state(ev.target) = res.fields
       res.out match {
         case next: Invoke      => queue += next
         case Reply(rid, value) => replies(rid) = value
@@ -65,5 +70,5 @@ final class LocalRuntime(val graph: DataflowGraph, val store: StateStore = new H
 
   /** Snapshot of one entity's state (defaults if never touched). */
   def snapshot(clazz: String, key: String): Map[String, Value] =
-    store.get(clazz, key).getOrElse(graph.operator(clazz).initialState(key))
+    state.getOrElse(EntityAddr(clazz, key), graph.operator(clazz).initialState(key))
 }

@@ -1,7 +1,6 @@
 package repro.spark
 
 import org.apache.spark.sql.{Dataset, SparkSession}
-import scala.collection.mutable
 import repro.core._
 import repro.core.Events._
 import repro.core.Dataflow.DataflowGraph
@@ -38,63 +37,55 @@ final class SparkBatchRuntime(spark: SparkSession, graph: DataflowGraph) extends
   import SparkBatchRuntime._
 
   /** Run `initial` invocation events to completion over entities seeded
-    * with `seeds`. */
+    * with `seeds`. The seed packets ride in the first hop round, where
+    * [[EntityOp.sortKey]] folds them before the round's events; `rounds`
+    * and `hops` count event rounds and events only. */
   def run(
       seeds: Seq[(String, String, Map[String, Value])],
       initial: Seq[Invoke],
   ): BatchResult = {
     import spark.implicits._
-    val g = graph
+    var state: Dataset[StateRow] = spark.emptyDataset[StateRow]
+    var pending = seeds.map { case (c, k, f) => seedPacket(c, k, f) }
 
-    // Seed round: fold seed packets into per-entity state.
-    val seedPackets = seeds.map { case (c, k, f) => seedPacket(c, k, f) }
-    var state: Dataset[StateRow] = spark.createDataset(seedPackets)
-      .groupByKey(_.key)
-      .mapGroups { (key, ps) =>
-        val (st, _) = processKey(g, key, None, ps.toSeq)
-        StateRow(key, st.getOrElse("{}"))
-      }
-      .localCheckpoint()
-
-    val replies = mutable.Map.empty[String, Value]
-    var events = initial.map(eventPacket)
-    var rounds = 0
-    var hops = 0L
-
-    while (events.nonEmpty) {
-      rounds += 1
-      hops += events.size
-      val eventsDs = spark.createDataset(events)
-      val out = state.groupByKey(_.key)
-        .cogroup(eventsDs.groupByKey(_.key)) { (key, sts, evs) =>
-          val packets = evs.toSeq
-          if (packets.isEmpty) {
-            // untouched entity: pass its state through to the next round
-            sts.map(s => OutRow(TagState, key, "", 0L, "", s.fields))
-          } else {
-            val st0 = sts.toSeq.headOption.map(_.fields)
-            val (st1, outs) = processKey(g, key, st0, packets)
-            val stateRow = st1.map(s => OutRow(TagState, key, "", 0L, "", s))
-            stateRow.iterator ++ outs.iterator
-          }
-        }
-        .localCheckpoint()
-
-      state = out.filter(_.tag == TagState).map(r => StateRow(r.key, r.body))
-      val emitted = out.filter(_.tag == TagEvent).collect()
-      emitted.foreach {
-        case OutRow(_, _, rid, _, KindReply, body) => replies(rid) = Codec.decodeValue(body)
-        case _                                     => ()
-      }
-      events = emitted.toSeq.collect {
-        case OutRow(_, key, rid, seq, KindEvent, body) => PacketRow(key, rid, seq, KindEvent, body)
-      }
+    def round(events: Seq[PacketRow]): Seq[OutRow] = {
+      val (next, emitted) = hopRound(state, pending ++ events)
+      state = next
+      pending = Nil
+      emitted
     }
+
+    val (replies, rounds, hops) = reenter(initial)(round)
+    if (pending.nonEmpty) round(Nil) // no events: the seeds still need a round
 
     val finalState = state.collect().map { r =>
       val addr = EntityAddr.fromRoutingKey(r.key)
       (addr.clazz, addr.key) -> Codec.decodeEnv(r.fields)
     }.toMap
-    BatchResult(replies.toMap, finalState, rounds, hops)
+    BatchResult(replies, finalState, rounds, hops)
+  }
+
+  /** One hop round: cogroup the state with the round's packets, fold each
+    * key's packets over its state, and return the next state with the
+    * emitted event rows. */
+  private def hopRound(state: Dataset[StateRow], packets: Seq[PacketRow]): (Dataset[StateRow], Seq[OutRow]) = {
+    import spark.implicits._
+    val g = graph
+    val out = state.groupByKey(_.key)
+      .cogroup(spark.createDataset(packets).groupByKey(_.key)) { (key, sts, evs) =>
+        val packets = evs.toSeq
+        if (packets.isEmpty) {
+          // untouched entity: pass its state through to the next round
+          sts.map(s => OutRow(TagState, key, "", 0L, "", s.fields))
+        } else {
+          val st0 = sts.toSeq.headOption.map(_.fields)
+          val (st1, outs) = processKey(g, key, st0, packets)
+          val stateRow = st1.map(s => OutRow(TagState, key, "", 0L, "", s))
+          stateRow.iterator ++ outs.iterator
+        }
+      }
+      .localCheckpoint()
+    (out.filter(_.tag == TagState).map(r => StateRow(r.key, r.body)),
+     out.filter(_.tag == TagEvent).collect().toSeq)
   }
 }

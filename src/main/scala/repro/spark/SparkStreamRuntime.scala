@@ -1,7 +1,9 @@
 package repro.spark
 
+import java.io.File
 import java.nio.file.Files
 import java.util.concurrent.atomic.AtomicInteger
+import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode, StreamingQuery}
@@ -29,14 +31,15 @@ import EntityOp._
   *    hop therefore costs one micro-batch, mirroring the per-hop Kafka
   *    round trip the paper measures on Flink/Statefun.
   *
-  * State is persisted in Spark's streaming state store under a checkpoint
-  * directory, giving the engine's exactly-once guarantee across batches.
+  * State is persisted in Spark's streaming state store under a temporary
+  * checkpoint directory, giving the engine's exactly-once guarantee across
+  * batches; [[stop]] deletes the directory.
   */
 final class SparkStreamRuntime(spark: SparkSession, graph: DataflowGraph) {
   import spark.implicits._
 
   private val name = s"stateflow_${SparkStreamRuntime.counter.getAndIncrement()}"
-  private val checkpointDir = Files.createTempDirectory(s"$name-ckpt").toFile.getAbsolutePath
+  private[spark] val checkpointDir = Files.createTempDirectory(s"$name-ckpt").toFile.getAbsolutePath
 
   private val input: MemoryStream[PacketRow] = MemoryStream[PacketRow](spark)
 
@@ -92,20 +95,9 @@ final class SparkStreamRuntime(spark: SparkSession, graph: DataflowGraph) {
   /** Run invocation events to completion; each wave of hop events is
     * re-injected as the next micro-batch until only replies remain. */
   def run(initial: Seq[Invoke]): Map[String, Value] = {
-    val replies = mutable.Map.empty[String, Value]
-    var wave = initial.map(eventPacket)
-    while (wave.nonEmpty) {
-      hops += wave.size
-      val outs = processBatch(wave)
-      outs.foreach {
-        case OutRow(_, _, rid, _, KindReply, body) => replies(rid) = Codec.decodeValue(body)
-        case _                                     => ()
-      }
-      wave = outs.collect {
-        case OutRow(_, key, rid, seq, KindEvent, body) => PacketRow(key, rid, seq, KindEvent, body)
-      }
-    }
-    replies.toMap
+    val (replies, _, n) = reenter(initial)(processBatch)
+    hops += n
+    replies
   }
 
   /** Convenience single invocation. */
@@ -116,10 +108,14 @@ final class SparkStreamRuntime(spark: SparkSession, graph: DataflowGraph) {
     run(List(OperatorExec.initialEvent(graph, rid, EntityAddr(clazz, key), method, args)))(rid)
   }
 
-  /** Stop the streaming query. Entity state lives in the streaming state
-    * store, so tests read it back through getter invocations (there is no
-    * side door — same as a deployed dataflow). */
-  def stop(): Unit = query.stop()
+  /** Stop the streaming query and delete its checkpoint directory. Entity
+    * state lives in the streaming state store, so tests read it back through
+    * getter invocations (there is no side door — same as a deployed
+    * dataflow); it does not outlive the runtime. */
+  def stop(): Unit = {
+    query.stop()
+    FileUtils.deleteDirectory(new File(checkpointDir))
+  }
 }
 
 object SparkStreamRuntime {

@@ -46,8 +46,15 @@ class OverheadSpec extends SparkSpec {
   test("store penalty is attributed to the runtime") {
     val cheap  = OverheadProbe.run(stateKb = 50, events = 100, storePenaltyNs = 0)
     val costly = OverheadProbe.run(stateKb = 50, events = 100, storePenaltyNs = 500_000)
-    assert(costly.runtimeNs > cheap.runtimeNs + 300_000)
-    assert(costly.stateflowShare < cheap.stateflowShare)
+    // The penalty raises the store component, the store counts towards
+    // the runtime, and StateFlow's own work stays at µs scale. Across the
+    // two runs only the store is compared, not totals or shares: between
+    // runs the codec's time moves by hundreds of µs, and StateFlow's
+    // µs-scale time by several-fold.
+    assert(costly.storeNs > cheap.storeNs + 300_000)
+    assert(costly.storeNs >= 500_000)
+    assert(costly.runtimeNs >= costly.storeNs)
+    assert(costly.stateflowNs < 50_000)
   }
 
   test("probe state round-trips (counter advances across events)") {

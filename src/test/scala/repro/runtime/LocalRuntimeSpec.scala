@@ -103,6 +103,12 @@ class LocalRuntimeSpec extends SparkSpec {
     assert(trace.map(a => a.clazz) == Vector("User", "Item", "User"))
   }
 
+  test("hop traces hold only the latest call's requests") {
+    val (_, rt) = freshPair()
+    (0 until 100).foreach(_ => rt.invoke("Item", "apple", "get_price", Nil))
+    assert(rt.traces.size == 1)
+  }
+
   test("multiple interleaved requests all reply") {
     val (_, rt) = freshPair()
     val g = rt.graph

@@ -137,4 +137,14 @@ class SparkBatchRuntimeSpec extends SparkSpec {
         List(ref("Item", "apple"), int(1))))))
     assert(res.state(("Item", "idle"))("price") == int(9))
   }
+
+  test("seeds without invocations: seeded state, no rounds, no hops") {
+    val rt = new SparkBatchRuntime(spark, shopGraph)
+    val res = rt.run(
+      Seq(("Item", "apple", Map[String, Value]("price" -> int(3), "stock" -> int(10)))), Nil)
+    assert(res.replies.isEmpty)
+    assert(res.state(("Item", "apple"))("stock") == int(10))
+    assert(res.rounds == 0)
+    assert(res.hops == 0)
+  }
 }

@@ -115,4 +115,15 @@ class SparkStreamRuntimeSpec extends SparkSpec {
       }
     }
   }
+
+  test("stop deletes the runtime's checkpoint directory") {
+    val rt = new SparkStreamRuntime(spark, shopGraph)
+    val dir = new java.io.File(rt.checkpointDir)
+    try {
+      rt.seed(Seq(("Item", "x", Map[String, Value]("price" -> int(1)))))
+      assert(rt.invoke("Item", "x", "get_price", Nil) == int(1))
+      assert(dir.isDirectory)
+    } finally rt.stop()
+    assert(!dir.exists())
+  }
 }
