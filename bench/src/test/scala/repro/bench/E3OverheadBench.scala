@@ -17,12 +17,12 @@ class E3OverheadBench extends SparkSpec {
   test("E3: print the overhead breakdown table") {
     println(TableFmt.render(
       "E3 — per-event component time (µs) vs state size",
-      Seq("state KB", "routing", "env decode", "state decode", "construct",
+      Seq("state KB", "StateFlow (route + construct)", "env decode", "state decode",
           "exec", "state encode", "store", "stateflow share"),
       rows.map { b =>
         Seq(b.stateKb.toString,
-            fmtMs(b.routingNs / 1000), fmtMs(b.headerDecodeNs / 1000),
-            fmtMs(b.stateDecodeNs / 1000), fmtMs(b.constructNs / 1000),
+            fmtMs(b.enterNs / 1000), fmtMs(b.headerDecodeNs / 1000),
+            fmtMs(b.stateDecodeNs / 1000),
             fmtMs(b.execNs / 1000), fmtMs(b.stateEncodeNs / 1000),
             fmtMs(b.storeNs / 1000), fmtPct(b.stateflowShare))
       }))

@@ -24,9 +24,12 @@ object Dataflow {
     def method(name: String): CompiledMethod =
       methods.getOrElse(name, throw new NoSuchElementException(s"operator $clazz has no method $name"))
 
+    /** Field defaults, built once: every seed and every fresh entity
+      * starts from them. */
+    private val defaults: Map[String, Value] = fields.map(f => f.name -> f.init).toMap
+
     /** Initial field state for a fresh entity with the given key. */
-    def initialState(key: String): Map[String, Value] =
-      fields.map(f => f.name -> f.init).toMap + (keyField -> Value.VStr(key))
+    def initialState(key: String): Map[String, Value] = defaults + (keyField -> Value.VStr(key))
   }
 
   /** A static call edge discovered during compilation: class `from`'s method

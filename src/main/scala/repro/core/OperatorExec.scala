@@ -32,19 +32,42 @@ object OperatorExec {
     * field state and exactly one output event (the next hop or the reply). */
   final case class StepResult(fields: Map[String, Value], out: Event)
 
+  /** One event at its operator, ready to run: the routed method, the
+    * entity's field map and the call's variable map. [[enter]] builds it;
+    * [[resume]] runs it. */
+  final case class Activation(
+      graph: DataflowGraph,
+      ev: Invoke,
+      cd: Ast.ClassDef,
+      method: CompiledMethod,
+      fields: mutable.Map[String, Value],
+      vars: mutable.Map[String, Value],
+  )
+
   /** Process `ev` against entity state `fields0` (None = entity not yet
     * materialized; it is created from field defaults). */
-  def step(graph: DataflowGraph, fields0: Option[Map[String, Value]], ev: Invoke): StepResult = {
+  def step(graph: DataflowGraph, fields0: Option[Map[String, Value]], ev: Invoke): StepResult =
+    resume(enter(graph, fields0, ev))
+
+  /** StateFlow's part of a hop (§4): route the event to its operator and
+    * method, and construct the entity's field map and the call's variable
+    * map ("object construction"). */
+  def enter(graph: DataflowGraph, fields0: Option[Map[String, Value]], ev: Invoke): Activation = {
     val op = graph.operator(ev.target.clazz)
-    val cd = graph.program.clazz(ev.target.clazz)
     val fields = mutable.Map.empty[String, Value]
     fields ++= fields0.getOrElse(op.initialState(ev.target.key))
+    Activation(graph, ev, graph.program.clazz(ev.target.clazz), op.method(ev.method), fields,
+               mutable.Map.empty[String, Value] ++ ev.env)
+  }
 
-    op.method(ev.method) match {
+  /** The application's part of a hop: execute blocks until the next
+    * suspension point and build the output event. */
+  def resume(act: Activation): StepResult = {
+    val Activation(graph, ev, cd, method, fields, vars) = act
+    method match {
       case InlineMethod(_, fd) =>
         require(ev.block == EntryBlock,
           s"${ev.target.clazz}.${ev.method} is inline but got continuation block ${ev.block}")
-        val vars = mutable.Map.empty[String, Value] ++ ev.env
         val ret = Eval.exec(fd.body, vars, fields, graph.program, cd, Eval.noRemote) match {
           case Eval.Returned(v) => v
           case Eval.FellThrough => Value.VUnit
@@ -52,7 +75,6 @@ object OperatorExec {
         StepResult(fields.toMap, finish(ev, ret))
 
       case SplitMethod(sm) =>
-        val vars = mutable.Map.empty[String, Value] ++ ev.env
         var cur = if (ev.block == EntryBlock) sm.entry else ev.block
         while (true) {
           val b = sm.block(cur)

@@ -1,28 +1,28 @@
 package repro.overhead
 
-import scala.collection.mutable
 import repro.core._
 import repro.core.Ast._
 import repro.core.EType._
 import repro.core.Value._
-import repro.core.Events.{EntityAddr, Invoke}
+import repro.core.Events.{EntityAddr, Invoke, Reply}
+import repro.faas.SimKV
 
-/** The §4 "System overhead" experiment: per-event component timing on a
-  * hand copy of the operator path, with entity state padded from 50 to
+/** The §4 "System overhead" experiment: per-event component timing on the
+  * operator path every runtime runs, with entity state padded from 50 to
   * 200 KB.
   *
-  * For each event we time the same stages every runtime executes and
-  * attribute them as the paper does:
+  * Each event goes through the stages of one FaaS invocation, plus the
+  * event decode a dataflow hop pays, each timed on the function the
+  * runtimes call, and attributed as the paper does:
   *
-  *  - routing (event routing key → operator/method lookup) — **StateFlow**;
-  *  - event envelope decode — runtime (the engine's serializers: Kafka/
-  *    Flink deserialize events before user code runs);
-  *  - state deserialization (state backend read)            — runtime;
-  *  - object (re)construction (field map → entity binding)  — **StateFlow**
+  *  - event decode (`Events.decode`) — runtime (the engine's serializers:
+  *    Kafka/Flink deserialize events before user code runs);
+  *  - state read (`SimKV.get`) and decode (`Codec.decodeEnv`) — runtime;
+  *  - routing and object construction (`OperatorExec.enter`) — **StateFlow**
   *    ("some of the components, like object construction, are attributed to
   *    StateFlow's overhead");
-  *  - user function execution                               — application;
-  *  - state serialization + store write                     — runtime
+  *  - block execution (`OperatorExec.resume`) — application;
+  *  - state encode (`Codec.encodeEnv`) and write (`SimKV.put`) — runtime
   *    ("others, like state storage, are attributed to the runtime").
   *
   * The paper's claim to reproduce: StateFlow's share of total per-event
@@ -51,16 +51,17 @@ object OverheadProbe {
   final case class Breakdown(
       stateKb: Int,
       events: Int,
-      routingNs: Double,
+      enterNs: Double,
       headerDecodeNs: Double,
       stateDecodeNs: Double,
-      constructNs: Double,
       execNs: Double,
       stateEncodeNs: Double,
       storeNs: Double,
+      lastReply: Value,
   ) {
-    /** Components attributed to StateFlow itself. */
-    def stateflowNs: Double = routingNs + constructNs
+    /** Components attributed to StateFlow itself: routing and object
+      * construction. */
+    def stateflowNs: Double = enterNs
     /** Components attributed to the runtime (event serializers + state
       * backend). */
     def runtimeNs: Double = headerDecodeNs + stateDecodeNs + stateEncodeNs + storeNs
@@ -70,86 +71,51 @@ object OverheadProbe {
   }
 
   /** Time the operator path for `events` events over a `stateKb`-KB entity.
-    * `storePenaltyNs` models the state backend's write cost beyond pure
-    * serialization — 100 µs is a conservative RocksDB WAL+memtable put for
-    * a 50–200 KB value (the paper's backends write to Flink managed state
-    * or DynamoDB, which costs far more). `warmup` iterations run the full
-    * path before measurement so JIT compilation does not pollute the first
-    * sampled configuration. */
+    * `storePenaltyNs` is a model constant for the state backend's cost per
+    * event beyond pure serialization, charged as `SimKV`'s latency, half on
+    * the read and half on the write. 100 µs is a conservative RocksDB
+    * WAL+memtable put for a 50–200 KB value (the paper's backends write to
+    * Flink managed state or DynamoDB, which costs far more). `warmup`
+    * events run the full path before measurement so JIT compilation does
+    * not pollute the first sampled configuration. */
   def run(stateKb: Int, events: Int, storePenaltyNs: Long = 100_000L,
           warmup: Int = 1000): Breakdown = {
     val graph = Compiler.compile(program)
-    val op = graph.operator("Blob")
-    val cd = program.clazz("Blob")
-    val fd = cd.method("bump")
+    val addr = EntityAddr("Blob", "b1")
+    val kv = new SimKV(latencyNanos = storePenaltyNs / 2)
+    kv.put(addr.routingKey, Codec.encodeEnv(
+      graph.operator("Blob").initialState("b1") + ("payload" -> str("x" * (stateKb * 1024)))))
+    val eventJson = Events.encode(OperatorExec.initialEvent(graph, "r1", addr, "bump", List(int(1))))
 
-    val payload = "x" * (stateKb * 1024)
-    var stateJson = Codec.encodeEnv(Map(
-      "id" -> str("b1"), "payload" -> str(payload), "n" -> int(0)))
+    var tHeader, tDecode, tEnter, tExec, tEncode, tStore = 0.0
+    var measure = false
+    def timed[A](body: => A)(add: Double => Unit): A = {
+      val t0 = System.nanoTime()
+      val a = body
+      if (measure) add((System.nanoTime() - t0).toDouble)
+      a
+    }
 
-    var tRouting, tHeader, tDecode, tConstruct, tExec, tEncode, tStore = 0.0
-    val store = mutable.Map.empty[String, String]
-
-    val headerJson = Events.encode(Invoke("r1", 0, EntityAddr("Blob", "b1"), "bump",
-      OperatorExec.EntryBlock, Map("by" -> int(1)), Nil))
-
-    var i = -warmup
-    while (i < events) {
-      val measure = i >= 0
-
-      var t0 = System.nanoTime()
-      val ev = Events.decode(headerJson).asInstanceOf[Invoke]
-      var t1 = System.nanoTime()
-      if (measure) tHeader += (t1 - t0)
-
-      t0 = System.nanoTime()
-      val addr = EntityAddr.fromRoutingKey(ev.target.routingKey)
-      val method = graph.operator(addr.clazz).method(ev.method)
-      t1 = System.nanoTime()
-      if (measure) tRouting += (t1 - t0)
-
-      t0 = System.nanoTime()
-      val fieldsMap = Codec.decodeEnv(stateJson)
-      t1 = System.nanoTime()
-      if (measure) tDecode += (t1 - t0)
-
-      t0 = System.nanoTime()
-      val entity = mutable.Map.empty[String, Value]
-      entity ++= fieldsMap
-      val vars = mutable.Map.empty[String, Value]
-      vars ++= ev.env
-      t1 = System.nanoTime()
-      if (measure) tConstruct += (t1 - t0)
-
-      t0 = System.nanoTime()
-      Eval.exec(fd.body, vars, entity, program, cd, Eval.noRemote)
-      t1 = System.nanoTime()
-      if (measure) tExec += (t1 - t0)
-
-      t0 = System.nanoTime()
-      val encoded = Codec.encodeEnv(entity.toMap)
-      t1 = System.nanoTime()
-      if (measure) tEncode += (t1 - t0)
-
-      t0 = System.nanoTime()
-      store(addr.routingKey) = encoded
-      val spinEnd = System.nanoTime() + storePenaltyNs
-      while (System.nanoTime() < spinEnd) {}
-      t1 = System.nanoTime()
-      if (measure) tStore += (t1 - t0)
-
-      stateJson = encoded
-      val _ = method
-      i += 1
+    var lastReply: Value = VUnit
+    for (i <- -warmup until events) {
+      measure = i >= 0
+      val ev = timed(Events.decode(eventJson).asInstanceOf[Invoke])(tHeader += _)
+      val stored = timed(kv.get(addr.routingKey).get)(tStore += _)
+      val fields = timed(Codec.decodeEnv(stored))(tDecode += _)
+      val act = timed(OperatorExec.enter(graph, Some(fields), ev))(tEnter += _)
+      val res = timed(OperatorExec.resume(act))(tExec += _)
+      val encoded = timed(Codec.encodeEnv(res.fields))(tEncode += _)
+      timed(kv.put(addr.routingKey, encoded))(tStore += _)
+      lastReply = res.out.asInstanceOf[Reply].value
     }
 
     Breakdown(stateKb, events,
-      routingNs = tRouting / events,
+      enterNs = tEnter / events,
       headerDecodeNs = tHeader / events,
       stateDecodeNs = tDecode / events,
-      constructNs = tConstruct / events,
       execNs = tExec / events,
       stateEncodeNs = tEncode / events,
-      storeNs = tStore / events)
+      storeNs = tStore / events,
+      lastReply = lastReply)
   }
 }

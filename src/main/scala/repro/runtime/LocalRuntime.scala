@@ -34,9 +34,10 @@ final class LocalRuntime(val graph: DataflowGraph) {
 
   private var nextRequest = 0L
 
-  /** Seed an entity's state directly (workload initialization). */
+  /** Seed an entity's state directly (workload initialization): `fields`
+    * are merged onto the entity's current state. */
   def seed(clazz: String, key: String, fields: Map[String, Value]): Unit =
-    state(EntityAddr(clazz, key)) = graph.operator(clazz).initialState(key) ++ fields
+    state(EntityAddr(clazz, key)) = snapshot(clazz, key) ++ fields
 
   /** Invoke an entity method and run the dataflow to completion; returns
     * the client-visible return value. */

@@ -114,7 +114,11 @@ final class SparkStreamRuntime(spark: SparkSession, graph: DataflowGraph) {
     * dataflow); it does not outlive the runtime. */
   def stop(): Unit = {
     query.stop()
-    FileUtils.deleteDirectory(new File(checkpointDir))
+    // The state store's background maintenance can still be removing this
+    // query's old files, and a delete walk that meets a file it removed
+    // fails: walk again.
+    val dir = new File(checkpointDir)
+    (1 to 5).find { _ => FileUtils.deleteQuietly(dir); !dir.exists() }
   }
 }
 

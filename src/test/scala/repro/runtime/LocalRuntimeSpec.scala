@@ -128,6 +128,14 @@ class LocalRuntimeSpec extends SparkSpec {
     assert(rt.snapshot("Item", "same")("price") == int(2))
   }
 
+  test("a second seed merges onto the entity's state, as the interpreter's does") {
+    val (it, rt) = freshPair()
+    it.seed("Item", "apple", Map("stock" -> int(7)))
+    rt.seed("Item", "apple", Map("stock" -> int(7)))
+    assert(rt.snapshot("Item", "apple")("price") == int(3))
+    assert(rt.snapshot("Item", "apple") == it.snapshot("Item", "apple"))
+  }
+
   test("entity auto-materializes on first invocation") {
     val (_, rt) = freshPair()
     assert(rt.invoke("User", "newbie", "get_balance", Nil) == int(1000))
