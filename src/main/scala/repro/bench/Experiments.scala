@@ -1,8 +1,7 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{Compiler, OperatorExec, Value}
-import repro.core.Events.EntityAddr
+import repro.core.Compiler
 import repro.deathstar.{HotelApp, Loc, Workload}
 import repro.overhead.OverheadProbe
 import repro.sim.{RuntimeProfile, SimDataflowRuntime}
@@ -97,26 +96,5 @@ object Experiments {
     val sf = Loc.stateflowHotel
     val bl = Loc.baselineHotel
     E4Result(sf.total, bl.total, bl.infra, bl.infraShare, Loc.runtimeSwitch.total)
-  }
-
-  // ------------------------------------------------- Spark throughput aside
-
-  /** Extra (not in the paper): raw throughput of the Spark batch runtime on
-    * a contended reserve workload, to show the real engine executing the
-    * IR at scale. Returns (requests, seconds, requests/sec). */
-  def sparkBatchThroughput(spark: SparkSession, nRequests: Int = 2000): (Int, Double, Double) = {
-    val graph = Compiler.compile(HotelApp.program)
-    val rt = new repro.spark.SparkBatchRuntime(spark, graph)
-    val nRegions = 10
-    val seeds = HotelApp.seeds(nRegions, 5, 100, capacity = 1000000)
-    val reqs = Workload.generate(nRequests, Workload.paperMix, nRegions, 5, 100).map(_.call)
-    val evs = reqs.zipWithIndex.map { case ((c, k, m, a), i) =>
-      OperatorExec.initialEvent(graph, f"r$i%09d", EntityAddr(c, k), m, a)
-    }
-    val t0 = System.nanoTime()
-    val res = rt.run(seeds, evs)
-    val secs = (System.nanoTime() - t0) / 1e9
-    require(res.replies.size == nRequests)
-    (nRequests, secs, nRequests / secs)
   }
 }

@@ -19,9 +19,11 @@ import Dataflow._
   * arguments found in the calling event, as well as the state of the entity
   * at the moment that the function is called."
   *
-  * Runtimes differ only in where state lives (HashMap, Spark GroupState,
-  * external KV) and how the emitted event travels (direct queue, Kafka-like
-  * re-entry, new FaaS invocation) — exactly the paper's portability claim.
+  * Every runtime drives the same egress/re-entry loop ([[reenter]]) and
+  * differs only in where state lives (HashMap, Spark GroupState or a state
+  * `Dataset`, external KV) and how one wave of events runs (in-process
+  * steps, a cogroup round or micro-batch, one FaaS invocation per event) —
+  * exactly the paper's portability claim.
   */
 object OperatorExec {
 
@@ -115,6 +117,41 @@ object OperatorExec {
     case frame :: rest =>
       Invoke(ev.requestId, ev.seq + 1, frame.caller, frame.method, frame.contBlock,
              frame.env + (frame.resultVar -> ret), rest)
+  }
+
+  /** The egress/re-entry loop (§3): the egress routes every output event
+    * back to the ingress "until an event has been processed in full".
+    * `initial` is the first wave; `runWave` runs one wave on the runtime and
+    * returns each emitted item as `Left(event)`, which re-enters in the next
+    * wave, or `Right((requestId, value))`, a reply to the client. What a wave
+    * carries is the runtime's choice: [[Events.Invoke]]s in memory, or
+    * encoded packets that the driver passes on without decoding. Returns the
+    * replies by request id, the number of waves and the number of events
+    * run. Holds no state outside the call, so concurrent calls are safe. */
+  def reenter[E](initial: Seq[E])(runWave: Seq[E] => Seq[Either[E, (String, Value)]])
+      : (Map[String, Value], Int, Long) = {
+    val replies = Map.newBuilder[String, Value]
+    var wave = initial
+    var waves = 0
+    var hops = 0L
+    while (wave.nonEmpty) {
+      waves += 1
+      hops += wave.size
+      val next = Seq.newBuilder[E]
+      runWave(wave).foreach {
+        case Left(ev)    => next += ev
+        case Right(rply) => replies += rply
+      }
+      wave = next.result()
+    }
+    (replies.result(), waves, hops)
+  }
+
+  /** An output event as [[reenter]] takes it: a hop that re-enters, or a
+    * reply to the client. */
+  def egress(out: Event): Either[Invoke, (String, Value)] = out match {
+    case next: Invoke  => Left(next)
+    case Reply(rid, v) => Right(rid -> v)
   }
 
   /** Build the client's initial invocation event. */

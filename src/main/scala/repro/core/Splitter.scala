@@ -118,15 +118,7 @@ object Splitter {
           case _ => id
         }
     }
-    val remapped = sm.blocks.values.map { b =>
-      val t2 = b.term match {
-        case Goto(t)                    => Goto(target(t))
-        case CondBr(c, t, f)            => CondBr(c, target(t), target(f))
-        case CallTerm(tg, m, as, r, k)  => CallTerm(tg, m, as, r, target(k))
-        case r: Ret                     => r
-      }
-      b.copy(term = t2)
-    }.map(b => b.id -> b).toMap
+    val remapped = sm.blocks.values.map(b => b.id -> b.copy(term = b.term.mapTargets(target))).toMap
     val entry = target(sm.entry)
 
     // 2. Prune unreachable, 3. renumber breadth-first from the entry.
@@ -142,14 +134,8 @@ object Splitter {
     val renum = order.zipWithIndex.toMap
     val blocks = order.map { oldId =>
       val b = remapped(oldId)
-      val t2 = b.term match {
-        case Goto(t)                   => Goto(renum(t))
-        case CondBr(c, t, f)           => CondBr(c, renum(t), renum(f))
-        case CallTerm(tg, m, as, r, k) => CallTerm(tg, m, as, r, renum(k))
-        case r: Ret                    => r
-      }
-      Block(renum(oldId), b.stmts, t2)
-    }.map(b => b.id -> b).toMap
+      renum(oldId) -> Block(renum(oldId), b.stmts, b.term.mapTargets(renum))
+    }.toMap
     sm.copy(entry = renum(entry), blocks = blocks)
   }
 }

@@ -22,6 +22,14 @@ object StateMachine {
       case CallTerm(_, _, _, _, k)  => List(k)
       case Ret(_)                   => Nil
     }
+
+    /** This terminator with every block id it can transfer to mapped by `f`. */
+    def mapTargets(f: Int => Int): Terminator = this match {
+      case Goto(t)                   => Goto(f(t))
+      case CondBr(c, t, e)           => CondBr(c, f(t), f(e))
+      case CallTerm(tg, m, as, r, k) => CallTerm(tg, m, as, r, f(k))
+      case r: Ret                    => r
+    }
   }
 
   /** Unconditional local transfer (no event hop — same operator, same

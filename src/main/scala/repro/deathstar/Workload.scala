@@ -31,8 +31,8 @@ object Workload {
     case other       => throw new IllegalArgumentException(s"unknown endpoint $other")
   }
 
-  /** Zipf(1.1)-skewed index in [0, n). */
-  private def zipf(rnd: Random, n: Int, alpha: Double = 1.1): Int = {
+  /** Zipf(1.1)-skewed index in [0, n): the workloads' one key-skew draw. */
+  private[repro] def zipf(rnd: Random, n: Int, alpha: Double = 1.1): Int = {
     val u = rnd.nextDouble()
     val x = math.pow(1.0 / (u + 1e-12), 1.0 / alpha) - 1.0
     math.min(n - 1, math.max(0, x.toInt))

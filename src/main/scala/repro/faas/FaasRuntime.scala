@@ -1,7 +1,6 @@
 package repro.faas
 
 import java.util.concurrent.{Executors, TimeUnit}
-import scala.collection.mutable
 import repro.core._
 import repro.core.Events._
 import repro.core.Dataflow.DataflowGraph
@@ -30,36 +29,29 @@ final class FaasRuntime(graph: DataflowGraph, val kv: SimKV = new SimKV()) {
 
   private def stateKey(addr: EntityAddr): String = addr.routingKey
 
-  def seed(clazz: String, key: String, fields: Map[String, Value]): Unit = {
-    val addr = EntityAddr(clazz, key)
-    val base = kv.get(stateKey(addr)).map(Codec.decodeEnv)
-      .getOrElse(graph.operator(clazz).initialState(key))
-    kv.put(stateKey(addr), Codec.encodeEnv(base ++ fields))
-  }
+  def seed(clazz: String, key: String, fields: Map[String, Value]): Unit =
+    kv.put(stateKey(EntityAddr(clazz, key)), Codec.encodeEnv(snapshot(clazz, key) ++ fields))
 
-  /** One Lambda invocation: state load → block execution → state store. */
-  private def invocation(ev: Invoke): Event = {
+  /** One Lambda invocation: state load → block execution → state store; the
+    * output event goes to the egress. */
+  private def invocation(ev: Invoke): Either[Invoke, (String, Value)] = {
     invocations.incrementAndGet()
-    kv.withKeyLock(stateKey(ev.target)) {
+    OperatorExec.egress(kv.withKeyLock(stateKey(ev.target)) {
       val st0 = kv.get(stateKey(ev.target)).map(Codec.decodeEnv)
       val res = OperatorExec.step(graph, st0, ev)
       kv.put(stateKey(ev.target), Codec.encodeEnv(res.fields))
       res.out
-    }
+    })
   }
 
-  /** The ingress/egress loop: keep invoking until the event is processed in
-    * full and a client reply is produced. */
+  /** Run one request through the shared egress/re-entry loop
+    * ([[OperatorExec.reenter]]): its chain is a run of one-event waves, one
+    * invocation each, until the event is processed in full and a client
+    * reply is produced. */
   def invoke(clazz: String, key: String, method: String, args: List[Value],
              requestId: String = f"f${System.nanoTime()}%d"): Value = {
-    var ev: Event = OperatorExec.initialEvent(graph, requestId, EntityAddr(clazz, key), method, args)
-    while (true) {
-      ev match {
-        case i: Invoke     => ev = invocation(i)
-        case Reply(_, out) => return out
-      }
-    }
-    throw new IllegalStateException("unreachable")
+    val ev = OperatorExec.initialEvent(graph, requestId, EntityAddr(clazz, key), method, args)
+    OperatorExec.reenter(List(ev))(_.map(invocation))._1(requestId)
   }
 
   /** Run many requests concurrently on `parallelism` threads (the paper's

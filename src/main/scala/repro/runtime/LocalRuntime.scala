@@ -11,10 +11,11 @@ import repro.core.Dataflow.DataflowGraph
   * environment the paper recommends for debugging and unit-testing a
   * StateFlow program before deploying it to a distributed runtime ("state is
   * kept in a local HashMap data structure instead of a state management
-  * backend"). Events travel through a FIFO queue standing in for the
-  * ingress/egress routers; each dequeue is one "hop" (what Kafka re-entry
-  * does in the distributed deployments), so [[hops]] counts exactly the
-  * events a distributed runtime would move.
+  * backend"). Events run through the shared egress/re-entry loop
+  * ([[OperatorExec.reenter]]), one wave at a time, each wave's events in
+  * order; each event run is one "hop" (what Kafka re-entry does in the
+  * distributed deployments), so [[hops]] counts exactly the events a
+  * distributed runtime would move.
   */
 final class LocalRuntime(val graph: DataflowGraph) {
 
@@ -52,21 +53,17 @@ final class LocalRuntime(val graph: DataflowGraph) {
     * value per request id. */
   def run(initial: List[Invoke]): Map[String, Value] = {
     traces.clear()
-    val queue = mutable.Queue.empty[Invoke]
-    queue ++= initial
-    val replies = mutable.Map.empty[String, Value]
-    while (queue.nonEmpty) {
-      val ev = queue.dequeue()
-      hops += 1
-      traces.updateWith(ev.requestId)(t => Some(t.getOrElse(Vector.empty) :+ ev.target))
-      val res = OperatorExec.step(graph, state.get(ev.target), ev)
-      state(ev.target) = res.fields
-      res.out match {
-        case next: Invoke      => queue += next
-        case Reply(rid, value) => replies(rid) = value
-      }
-    }
-    replies.toMap
+    val (replies, _, n) = OperatorExec.reenter(initial)(_.map(hop))
+    hops += n
+    replies
+  }
+
+  /** One event at its entity: record the hop, step, store the state. */
+  private def hop(ev: Invoke): Either[Invoke, (String, Value)] = {
+    traces.updateWith(ev.requestId)(t => Some(t.getOrElse(Vector.empty) :+ ev.target))
+    val res = OperatorExec.step(graph, state.get(ev.target), ev)
+    state(ev.target) = res.fields
+    OperatorExec.egress(res.out)
   }
 
   /** Snapshot of one entity's state (defaults if never touched). */

@@ -1,6 +1,5 @@
 package repro.spark
 
-import scala.collection.mutable
 import repro.core._
 import repro.core.Events._
 import repro.core.Dataflow.DataflowGraph
@@ -10,11 +9,13 @@ import repro.core.Dataflow.DataflowGraph
   * Both runtimes key the event stream by the entity routing key
   * `class|key` (the paper's ingress keyBy on class name + entity key) and
   * hand each group to [[processKey]], which folds the group's packets over
-  * the entity's serialized state, and both drive the same egress/re-entry
-  * loop ([[reenter]]). The two runtimes differ only in where the serialized
-  * state lives and how one wave of packets runs: a state `Dataset` threaded
-  * through `cogroup` rounds (batch) or Spark's `GroupState` behind one
-  * micro-batch (Structured Streaming).
+  * the entity's serialized state. Both drive [[OperatorExec.reenter]] with
+  * encoded packets as the waves, and [[egress]] turns each emitted row into
+  * a next-wave packet or a reply, so the driver passes event bodies on
+  * without decoding them. The two runtimes differ only in where the
+  * serialized state lives and how one wave of packets runs: a state
+  * `Dataset` threaded through `cogroup` rounds (batch) or Spark's
+  * `GroupState` behind one micro-batch (Structured Streaming).
   */
 object EntityOp {
 
@@ -79,28 +80,9 @@ object EntityOp {
     (fields.map(Codec.encodeEnv), outs.result())
   }
 
-  /** The egress/re-entry loop (§3, the paper's Kafka round trip): `initial`
-    * is the first wave; `runWave` runs one wave of packets on the runtime
-    * and returns the rows it emitted. Reply rows go to the client and event
-    * rows form the next wave, until only replies remain. Returns the replies
-    * by request id, the number of waves and the number of events run. */
-  def reenter(initial: Seq[Invoke])(runWave: Seq[PacketRow] => Seq[OutRow]): (Map[String, Value], Int, Long) = {
-    val replies = mutable.Map.empty[String, Value]
-    var wave = initial.map(eventPacket)
-    var waves = 0
-    var hops = 0L
-    while (wave.nonEmpty) {
-      waves += 1
-      hops += wave.size
-      val outs = runWave(wave)
-      outs.foreach {
-        case OutRow(_, _, rid, _, KindReply, body) => replies(rid) = Codec.decodeValue(body)
-        case _                                     => ()
-      }
-      wave = outs.collect {
-        case OutRow(_, key, rid, seq, KindEvent, body) => PacketRow(key, rid, seq, KindEvent, body)
-      }
-    }
-    (replies.toMap, waves, hops)
-  }
+  /** An emitted event row as [[OperatorExec.reenter]] takes it: a hop that
+    * re-enters as the next wave's packet, or a reply to the client. */
+  def egress(row: OutRow): Either[PacketRow, (String, Value)] =
+    if (row.kind == KindEvent) Left(PacketRow(row.key, row.rid, row.seq, KindEvent, row.body))
+    else Right(row.rid -> Codec.decodeValue(row.body))
 }

@@ -55,7 +55,8 @@ final class SparkBatchRuntime(spark: SparkSession, graph: DataflowGraph) extends
       emitted
     }
 
-    val (replies, rounds, hops) = reenter(initial)(round)
+    val (replies, rounds, hops) =
+      OperatorExec.reenter(initial.map(eventPacket))(round(_).map(egress))
     if (pending.nonEmpty) round(Nil) // no events: the seeds still need a round
 
     val finalState = state.collect().map { r =>

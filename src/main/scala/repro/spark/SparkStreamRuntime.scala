@@ -95,7 +95,7 @@ final class SparkStreamRuntime(spark: SparkSession, graph: DataflowGraph) {
   /** Run invocation events to completion; each wave of hop events is
     * re-injected as the next micro-batch until only replies remain. */
   def run(initial: Seq[Invoke]): Map[String, Value] = {
-    val (replies, _, n) = reenter(initial)(processBatch)
+    val (replies, _, n) = OperatorExec.reenter(initial.map(eventPacket))(processBatch(_).map(egress))
     hops += n
     replies
   }

@@ -149,4 +149,24 @@ class OperatorExecSpec extends SparkSpec {
     assert(rt.snapshot("S", "s1")("n") == int(3))
     assert(rt.hops == 5) // entry + 2 * (call + resume)
   }
+
+  test("reenter runs waves until only replies remain, counting waves and hops") {
+    // Toy waves: (request, n) re-enters as (request, n - 1) until n is 0,
+    // which replies with the number of the wave it ended in.
+    var calls = 0
+    val (replies, waves, hops) = reenter(Seq(("a", 2), ("b", 0), ("c", 1))) { wave =>
+      calls += 1
+      wave.map { case (rid, n) => if (n > 0) Left((rid, n - 1)) else Right(rid -> int(calls)) }
+    }
+    assert(replies == Map("a" -> int(3), "b" -> int(1), "c" -> int(2)))
+    assert(waves == 3 && calls == 3)
+    assert(hops == 6) // 3 + 2 + 1 events
+  }
+
+  test("reenter on no initial events runs no wave") {
+    val (replies, waves, hops) =
+      reenter(Seq.empty[Int])(_ => fail("no wave may run"): Seq[Either[Int, (String, Value)]])
+    assert(replies.isEmpty)
+    assert(waves == 0 && hops == 0L)
+  }
 }

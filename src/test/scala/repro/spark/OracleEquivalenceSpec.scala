@@ -1,9 +1,9 @@
 package repro.spark
 
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.core.Events.EntityAddr
-import repro.deathstar.HotelApp
+import repro.deathstar.{HotelApp, Workload}
 import repro.examples.Shop
 import EType._
 import Value._
@@ -24,9 +24,9 @@ class OracleEquivalenceSpec extends SparkSpec {
     }
 
   test("oracle: deposits — final balances equal SQL aggregation over the event log") {
-    // Workload keys drawn from the provided SynthData zipf generator.
-    val draws = SynthData.zipfKeys(spark, rows = 400, nKeys = 25, seed = 7)
-      .collect().toSeq.map(r => (r.getLong(0), math.max(1, (r.getDouble(1) * 100).toInt)))
+    // Zipf-skewed keys, as the hotel workload draws them, and amounts in [1, 100].
+    val rnd = new scala.util.Random(7)
+    val draws = Seq.fill(400)((Workload.zipf(rnd, 25), 1 + rnd.nextInt(100)))
     val reqs = draws.map { case (k, amt) =>
       ("User", s"u$k", "deposit", List(int(amt)): List[Value])
     }

@@ -104,6 +104,24 @@ class SparkBatchRuntimeSpec extends SparkSpec {
       assert(res.state((c, k))("reserved") == local.snapshot(c, k)("reserved"), s"$c:$k")
   }
 
+  test("contended mixed workload: one run equals one Local run in replies, hops and state") {
+    // Both runtimes drive the same wave loop, and within a wave each folds a
+    // key's events in request-id order, so even contended writes agree.
+    val rt = new SparkBatchRuntime(spark, hotelGraph)
+    val local = new LocalRuntime(hotelGraph)
+    val seeds = HotelApp.seeds(2, 2, 3, capacity = 3)
+    seeds.foreach { case (c, k, f) => local.seed(c, k, f) }
+    val mix = Workload.Mix(search = 0.3, recommend = 0.2, login = 0.1, reserve = 0.4)
+    val initial = initialEvents(hotelGraph, Workload.generate(40, mix, 2, 2, 3, seed = 5).map(_.call))
+    val expected = local.run(initial.toList)
+    val res = rt.run(seeds, initial)
+    assert(res.replies == expected)
+    assert(res.replies.values.count(_ == bool(false)) > 0) // some reserves found their hotel full
+    assert(res.hops == local.hops)
+    for ((c, k) <- res.state.keys)
+      assert(res.state((c, k)) == local.snapshot(c, k), s"$c:$k")
+  }
+
   test("deterministic: identical run twice") {
     val rt1 = new SparkBatchRuntime(spark, hotelGraph)
     val rt2 = new SparkBatchRuntime(spark, hotelGraph)
