@@ -1,6 +1,11 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.core.Compiler
+import repro.deathstar.{HotelApp, Workload}
+import repro.sim.{RuntimeProfile, SimDataflowRuntime}
+import repro.sim.SimDataflowRuntime.EndpointStats
+import repro.spark.SparkStreamRuntime
 import TableFmt._
 
 /** Table E1 (paper Figure 3): average latency per DeathStar endpoint at
@@ -14,23 +19,32 @@ import TableFmt._
   */
 class E1LatencyBench extends SparkSpec {
 
-  private lazy val rows = Experiments.e1Simulated()
+  private val endpoints = List("login", "search", "recommend", "reserve")
+
+  /** (runtime, stats) per profile and endpoint: 500 requests of one
+    * endpoint, simulated at 10 RPS. Each endpoint's hop traces are computed
+    * once and replayed under every profile. */
+  private lazy val rows: List[(String, EndpointStats)] = {
+    val traces = endpoints.map(ep => ep -> SimDataflowRuntime.hotelTraces(500, Workload.only(ep), seed = 42)).toMap
+    for {
+      p <- RuntimeProfile.all
+      ep <- endpoints
+    } yield p.name -> SimDataflowRuntime.simulate(p, traces(ep), rps = 10).perEndpoint(ep)
+  }
   private def avg(rt: String, ep: String): Double =
-    rows.find(r => r.runtime == rt && r.endpoint == ep).get.stats.avgMs
+    rows.collectFirst { case (`rt`, s) if s.endpoint == ep => s.avgMs }.get
 
   test("E1: print the Fig-3 table (simulated deployments)") {
     val table = TableFmt.render(
       "E1 — avg latency per endpoint at 10 RPS (ms, simulated deployments)",
-      "runtime" +: Experiments.endpoints,
-      rows.groupBy(_.runtime).toSeq.sortBy(_._1).map { case (rt, rs) =>
-        rt +: Experiments.endpoints.map(ep => fmtMs(rs.find(_.endpoint == ep).get.stats.avgMs))
-      })
+      "runtime" +: endpoints,
+      RuntimeProfile.all.map(_.name).sorted.map(rt => rt +: endpoints.map(ep => fmtMs(avg(rt, ep)))))
     println(table)
     assert(rows.size == 16)
   }
 
   test("E1: lambda is the fastest runtime on every endpoint (paper)") {
-    Experiments.endpoints.foreach { ep =>
+    endpoints.foreach { ep =>
       List("statefun", "flinkjvm", "pyflink").foreach { other =>
         assert(avg("lambda", ep) < avg(other, ep), s"$ep: lambda vs $other")
       }
@@ -38,7 +52,7 @@ class E1LatencyBench extends SparkSpec {
   }
 
   test("E1: pyflink is the slowest runtime on every endpoint (paper)") {
-    Experiments.endpoints.foreach { ep =>
+    endpoints.foreach { ep =>
       List("lambda", "statefun", "flinkjvm").foreach { other =>
         assert(avg("pyflink", ep) > avg(other, ep), s"$ep: pyflink vs $other")
       }
@@ -62,7 +76,22 @@ class E1LatencyBench extends SparkSpec {
   }
 
   test("E1: the real Spark Structured Streaming runtime, measured") {
-    val measured = Experiments.e1SparkMeasured(spark)
+    // Wall-clock per endpoint request: one warm-up request, then 3 timed.
+    val rt = new SparkStreamRuntime(spark, Compiler.compile(HotelApp.program))
+    val measured = try {
+      rt.seed(HotelApp.seeds(nRegions = 4, hotelsPerRegion = 5, nUsers = 10, capacity = 1000))
+      endpoints.map { ep =>
+        val calls = Workload.generate(4, Workload.only(ep), 4, 5, 10, seed = 9).map(_.call)
+        val (c0, k0, m0, a0) = calls.head
+        rt.invoke(c0, k0, m0, a0)
+        val times = calls.tail.map { case (c, k, m, a) =>
+          val t0 = System.nanoTime()
+          rt.invoke(c, k, m, a)
+          (System.nanoTime() - t0) / 1e6
+        }
+        ep -> times.sum / times.size
+      }
+    } finally rt.stop()
     println(TableFmt.render(
       "E1b — Spark Structured Streaming runtime (measured, ms/request; " +
         "each remote hop = one micro-batch)",

@@ -1,6 +1,9 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.deathstar.Workload
+import repro.sim.{RuntimeProfile, SimDataflowRuntime}
+import repro.sim.SimDataflowRuntime.EndpointStats
 import TableFmt._
 
 /** Table E2 (paper Figure 4): mixed DeathStar workload (search 60%,
@@ -14,20 +17,32 @@ import TableFmt._
   */
 class E2ThroughputBench extends SparkSpec {
 
-  private lazy val rows = Experiments.e2Sweep()
-  private def at(rt: String, rps: Int): Experiments.E2Row =
-    rows.find(r => r.runtime == rt && r.rps == rps).get
+  private val rates = List(1200, 2000, 3000, 4300)
+
+  /** (runtime, rps, overall stats) per profile and rate: 4.5 s of the
+    * paper's mix at each rate. Each rate's hop traces are computed once and
+    * replayed under every profile. */
+  private lazy val rows: List[(String, Int, EndpointStats)] = {
+    val traces = rates.map(rps =>
+      rps -> SimDataflowRuntime.hotelTraces((rps * 4.5).toInt, Workload.paperMix, seed = 42)).toMap
+    for {
+      p <- List(RuntimeProfile.awsLambda, RuntimeProfile.statefun, RuntimeProfile.flinkJvm)
+      rps <- rates
+    } yield (p.name, rps, SimDataflowRuntime.simulate(p, traces(rps), rps = rps).overall)
+  }
+  private def at(rt: String, rps: Int): EndpointStats =
+    rows.collectFirst { case (`rt`, `rps`, s) => s }.get
 
   test("E2: print the Fig-4 table") {
     println(TableFmt.render(
       "E2 — mixed workload latency vs offered load (ms, simulated deployments)",
       Seq("runtime", "rps", "avg", "p50", "p99"),
-      rows.map(r => Seq(r.runtime, r.rps.toString, fmtMs(r.avgMs), fmtMs(r.p50Ms), fmtMs(r.p99Ms)))))
+      rows.map { case (rt, rps, r) => Seq(rt, rps.toString, fmtMs(r.avgMs), fmtMs(r.p50Ms), fmtMs(r.p99Ms)) }))
     assert(rows.size == 12)
   }
 
   test("E2: lambda p99 stays in the ~250ms regime across the whole sweep (paper)") {
-    Experiments.e2Rates.foreach { rps =>
+    rates.foreach { rps =>
       val r = at("lambda", rps)
       assert(r.p99Ms < 400, s"lambda p99 at $rps RPS: ${r.p99Ms}")
     }
@@ -60,14 +75,15 @@ class E2ThroughputBench extends SparkSpec {
   }
 
   test("E2: pyflink is saturated at 150 RPS — excluded from the sweep (paper)") {
-    val util = Experiments.e2PyflinkSaturation()
+    val traces = SimDataflowRuntime.hotelTraces(600, Workload.paperMix, seed = 42)
+    val util = SimDataflowRuntime.simulate(RuntimeProfile.pyFlink, traces, rps = 150).execUtilization
     println(f"pyflink exec utilization at 150 RPS: ${util * 100}%.1f%% (timeouts; excluded)")
     assert(util > 0.95)
   }
 
   test("E2: latency monotonically increases with offered load per runtime") {
     for (rt <- List("lambda", "statefun", "flinkjvm")) {
-      val p99s = Experiments.e2Rates.map(at(rt, _).p99Ms)
+      val p99s = rates.map(at(rt, _).p99Ms)
       assert(p99s.zip(p99s.tail).forall { case (a, b) => b >= a * 0.8 },
         s"$rt p99 not roughly monotone: $p99s")
     }

@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.overhead.OverheadProbe
 import TableFmt._
 
 /** Table E3 (paper §4 "System overhead"): per-event component breakdown on
@@ -12,7 +13,7 @@ import TableFmt._
   */
 class E3OverheadBench extends SparkSpec {
 
-  private lazy val rows = Experiments.e3Overhead()
+  private lazy val rows = List(50, 100, 150, 200).map(kb => OverheadProbe.run(kb, events = 300))
 
   test("E3: print the overhead breakdown table") {
     println(TableFmt.render(

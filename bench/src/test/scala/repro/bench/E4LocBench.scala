@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.deathstar.Loc
 import TableFmt._
 
 /** Table E4 (paper §4 "StateFlow's abstraction vs other systems"):
@@ -16,36 +17,38 @@ import TableFmt._
   */
 class E4LocBench extends SparkSpec {
 
-  private lazy val r = Experiments.e4Loc()
+  private lazy val sf = Loc.stateflowHotel
+  private lazy val bl = Loc.baselineHotel
+  private lazy val switch = Loc.runtimeSwitch
 
   test("E4: print the LOC table") {
     println(TableFmt.render(
       "E4 — lines of code (paper: stateflow ±200, baseline ±500 w/ ~30% infra, switch <10)",
       Seq("implementation", "total LOC", "infra LOC", "infra share"),
       Seq(
-        Seq("stateflow hotel (python)", r.stateflowLoc.toString, "0", "0%"),
-        Seq("baseline microservices", r.baselineLoc.toString, r.baselineInfra.toString,
-            fmtPct(r.baselineInfraShare)),
-        Seq("runtime switch (4 targets)", r.switchLoc.toString, "-", "-"),
+        Seq("stateflow hotel (python)", sf.total.toString, "0", "0%"),
+        Seq("baseline microservices", bl.total.toString, bl.infra.toString,
+            fmtPct(bl.infraShare)),
+        Seq("runtime switch (4 targets)", switch.total.toString, "-", "-"),
       )))
-    assert(r.stateflowLoc > 0 && r.baselineLoc > 0)
+    assert(sf.total > 0 && bl.total > 0)
   }
 
   test("E4: baseline is substantially larger than the StateFlow program") {
-    assert(r.baselineLoc > 1.5 * r.stateflowLoc)
+    assert(bl.total > 1.5 * sf.total)
   }
 
   test("E4: StateFlow program is pure business logic (0 infra LOC)") {
-    assert(repro.deathstar.Loc.stateflowHotel.infra == 0)
+    assert(sf.infra == 0)
   }
 
   test("E4: baseline infra share is substantial (paper: ~30%)") {
-    assert(r.baselineInfraShare > 0.25)
+    assert(bl.infraShare > 0.25)
   }
 
   test("E4: switching runtimes is a handful of lines (paper: <10)") {
     // 4 deployment targets in one file incl. imports: ~2-3 lines per switch.
-    assert(r.switchLoc < 18)
-    assert(r.switchLoc.toDouble / 4 < 10, "per-target switch cost under the paper's bound")
+    assert(switch.total < 18)
+    assert(switch.total.toDouble / 4 < 10, "per-target switch cost under the paper's bound")
   }
 }

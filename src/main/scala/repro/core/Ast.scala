@@ -130,12 +130,19 @@ object Ast {
   /** True when expression `e` contains a remote call anywhere. */
   def hasRemote(e: Expr): Boolean = subExprs(e).exists(_.isInstanceOf[RemoteCall])
 
+  /** Every expression of statement list `b`, including those of nested
+    * `if`/`for`/`while` bodies; each statement's own expressions come
+    * before those of its bodies. */
+  def bodyExprs(b: List[Stmt]): List[Expr] = b.flatMap { s =>
+    stmtExprs(s) ++ (s match {
+      case If(_, t, e)          => bodyExprs(t) ++ bodyExprs(e)
+      case ForEach(_, _, _, bd) => bodyExprs(bd)
+      case While(_, bd)         => bodyExprs(bd)
+      case _                    => Nil
+    })
+  }
+
   /** True when statement list `b` contains a remote call anywhere
     * (including nested control flow). */
-  def bodyHasRemote(b: List[Stmt]): Boolean = b.exists {
-    case If(c, t, e)           => hasRemote(c) || bodyHasRemote(t) || bodyHasRemote(e)
-    case ForEach(_, _, it, bd) => hasRemote(it) || bodyHasRemote(bd)
-    case While(c, bd)          => hasRemote(c) || bodyHasRemote(bd)
-    case s                     => stmtExprs(s).exists(hasRemote)
-  }
+  def bodyHasRemote(b: List[Stmt]): Boolean = bodyExprs(b).exists(hasRemote)
 }

@@ -86,7 +86,10 @@ object Json {
     var pos = 0
     def eof: Boolean = pos >= s.length
     def skipWs(): Unit = while (!eof && s.charAt(pos).isWhitespace) pos += 1
-    private def ch: Char = s.charAt(pos)
+    // End of input is a parse error; the message is built only when thrown.
+    private def ch: Char =
+      if (pos < s.length) s.charAt(pos)
+      else throw new IllegalArgumentException(s"unexpected end of input in: $s")
     private def expect(c: Char): Unit = {
       require(!eof && ch == c, s"expected '$c' at $pos in: $s")
       pos += 1
@@ -94,7 +97,6 @@ object Json {
 
     def value(): J = {
       skipWs()
-      require(!eof, "unexpected end of input")
       ch match {
         case '"' => JStr(string())
         case '{' => obj()
@@ -127,6 +129,8 @@ object Json {
             case 'b'  => sb += '\b'
             case 'f'  => sb += '\f'
             case 'u'  =>
+              if (pos + 5 > s.length)
+                throw new IllegalArgumentException(s"truncated \\u escape at $pos in: $s")
               sb += Integer.parseInt(s.substring(pos + 1, pos + 5), 16).toChar
               pos += 4
             case c    => throw new IllegalArgumentException(s"bad escape \\$c")

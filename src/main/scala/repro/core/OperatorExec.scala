@@ -92,11 +92,7 @@ object OperatorExec {
             case CallTerm(tg, m, as, resultVar, cont) =>
               val ref = Eval.expr(tg, vars, fields, graph.program, cd, Eval.noRemote).asRef
               val argVals = as.map(a => Eval.expr(a, vars, fields, graph.program, cd, Eval.noRemote))
-              val calleeOp = graph.operator(ref.clazz)
-              val calleeParams = calleeOp.method(m).params
-              require(calleeParams.length == argVals.length,
-                s"${ref.clazz}.$m: arity mismatch at call from ${sm.clazz}.${sm.name}")
-              val calleeEnv = calleeParams.map(_._1).zip(argVals).toMap
+              val calleeEnv = bindArgs(graph, ref.clazz, m, argVals, Some(sm))
               val frame = Frame(ev.target, ev.method, cont, vars.toMap, resultVar)
               val out = Invoke(ev.requestId, ev.seq + 1, EntityAddr(ref.clazz, ref.key),
                                m, EntryBlock, calleeEnv, frame :: ev.stack)
@@ -156,10 +152,19 @@ object OperatorExec {
 
   /** Build the client's initial invocation event. */
   def initialEvent(graph: DataflowGraph, requestId: String, target: EntityAddr,
-                   method: String, args: List[Value]): Invoke = {
-    val params = graph.operator(target.clazz).method(method).params
-    require(params.length == args.length,
-      s"${target.clazz}.$method expects ${params.length} args, got ${args.length}")
-    Invoke(requestId, 0L, target, method, EntryBlock, params.map(_._1).zip(args).toMap, Nil)
+                   method: String, args: List[Value]): Invoke =
+    Invoke(requestId, 0L, target, method, EntryBlock, bindArgs(graph, target.clazz, method, args, None), Nil)
+
+  /** The callee's variable map for a call of `clazz.method` with `args`:
+    * each parameter bound to its argument. An arity error names the callee
+    * and, for a call from a split function, the `caller`. */
+  private def bindArgs(graph: DataflowGraph, clazz: String, method: String, args: List[Value],
+                       caller: Option[SplitFunction]): Map[String, Value] = {
+    val params = graph.operator(clazz).method(method).params
+    if (params.length != args.length)
+      throw new IllegalArgumentException(
+        s"$clazz.$method expects ${params.length} args, got ${args.length}" +
+          caller.fold("")(sm => s" at call from ${sm.clazz}.${sm.name}"))
+    params.map(_._1).zip(args).toMap
   }
 }

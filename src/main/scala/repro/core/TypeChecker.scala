@@ -107,25 +107,11 @@ object TypeChecker {
     case _              => Set.empty
   }
 
-  private def countRemote(b: List[Stmt]): Int = b.map {
-    case If(c, t, e)           => remoteIn(c) + countRemote(t) + countRemote(e)
-    case ForEach(_, _, it, bd) => remoteIn(it) + countRemote(bd)
-    case While(c, bd)          => remoteIn(c) + countRemote(bd)
-    case s                     => stmtExprs(s).map(remoteIn).sum
-  }.sum
+  private def countRemote(b: List[Stmt]): Int =
+    bodyExprs(b).flatMap(subExprs).count(_.isInstanceOf[RemoteCall])
 
-  private def remoteIn(e: Expr): Int = subExprs(e).count(_.isInstanceOf[RemoteCall])
-
-  private def collectSelfCalls(b: List[Stmt]): Set[String] = {
-    def inExpr(e: Expr): Set[String] =
-      subExprs(e).collect { case SelfCall(m, _) => m }.toSet
-    b.flatMap {
-      case If(c, t, e)           => inExpr(c) ++ collectSelfCalls(t) ++ collectSelfCalls(e)
-      case ForEach(_, _, it, bd) => inExpr(it) ++ collectSelfCalls(bd)
-      case While(c, bd)          => inExpr(c) ++ collectSelfCalls(bd)
-      case s                     => stmtExprs(s).flatMap(inExpr)
-    }.toSet
-  }
+  private def collectSelfCalls(b: List[Stmt]): Set[String] =
+    bodyExprs(b).flatMap(subExprs).collect { case SelfCall(m, _) => m }.toSet
 
   /** Widening: int is assignable where float is expected. */
   private def typesMatch(declared: EType, actual: EType): Boolean =

@@ -43,7 +43,7 @@ final class Des {
   * Queueing delay at high utilization is what produces the latency knees of
   * the paper's Figure 4.
   */
-final class ServerPool(des: Des, val servers: Int, val name: String = "pool") {
+final class ServerPool(des: Des, val servers: Int) {
   require(servers > 0, "pool needs at least one server")
 
   private val waiting = mutable.Queue.empty[(Double, () => Unit)]

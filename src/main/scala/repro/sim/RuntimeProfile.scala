@@ -18,7 +18,9 @@ package repro.sim
   *                                       Python fns of 1 CPU; Lambda's
   *                                       1000-way burst; PyFlink executes
   *                                       in the slot itself).
-  * Client entry additionally pays `ingressMs` once.
+  * Client entry additionally pays `ingressMs` once. Exactly-once delivery
+  * (which the paper's dataflow setups provide and Lambda does not) adds no
+  * cost in this model.
   */
 final case class RuntimeProfile(
     name: String,
@@ -29,7 +31,6 @@ final case class RuntimeProfile(
     execMs: Double,
     execWorkers: Int,
     jitterSigma: Double,
-    exactlyOnce: Boolean,
 )
 
 object RuntimeProfile {
@@ -44,7 +45,7 @@ object RuntimeProfile {
     name = "lambda", ingressMs = 3.0, hopLatencyMs = 1.5,
     routeMs = 0.05, routeWorkers = 1000,
     execMs = 5.0, execWorkers = 1000,
-    jitterSigma = 0.35, exactlyOnce = false)
+    jitterSigma = 0.35)
 
   /** Flink Statefun (paper: 8 TaskManagers × 5 slots, parallelism 40, plus
     * 20 remote Python functions of 1 CPU/1 GB; every entity-to-entity call
@@ -55,7 +56,7 @@ object RuntimeProfile {
     name = "statefun", ingressMs = 15.0, hopLatencyMs = 20.0,
     routeMs = 0.1, routeWorkers = 40,
     execMs = 0.65, execWorkers = 20,
-    jitterSigma = 0.30, exactlyOnce = true)
+    jitterSigma = 0.30)
 
   /** FlinkJVM (paper: the Flink cluster does messaging and state, but
     * processing is outsourced to AWS Lambda). Same Kafka hop as Statefun,
@@ -66,7 +67,7 @@ object RuntimeProfile {
     name = "flinkjvm", ingressMs = 15.0, hopLatencyMs = 20.0,
     routeMs = 0.1, routeWorkers = 40,
     execMs = 6.0, execWorkers = 1000,
-    jitterSigma = 0.30, exactlyOnce = true)
+    jitterSigma = 0.30)
 
   /** PyFlink (paper: "an early prototype lacking a batching/bundling
     * mechanism and chaining of Python operators" — tens of ms of Python
@@ -77,11 +78,8 @@ object RuntimeProfile {
     name = "pyflink", ingressMs = 15.0, hopLatencyMs = 20.0,
     routeMs = 0.1, routeWorkers = 40,
     execMs = 45.0, execWorkers = 40,
-    jitterSigma = 0.30, exactlyOnce = true)
+    jitterSigma = 0.30)
 
   /** The Figure-3/4 lineup. */
   val all: List[RuntimeProfile] = List(awsLambda, statefun, flinkJvm, pyFlink)
-
-  def byName(n: String): RuntimeProfile =
-    all.find(_.name == n).getOrElse(throw new NoSuchElementException(s"no profile $n"))
 }

@@ -30,8 +30,7 @@ object SimDataflowRuntime {
 
   final case class SimResult(perEndpoint: Map[String, EndpointStats],
                              overall: EndpointStats,
-                             execUtilization: Double,
-                             durationS: Double)
+                             execUtilization: Double)
 
   /** Execute `requests` on a fresh Local runtime over `seeds` and capture
     * each request's hop chain. */
@@ -64,8 +63,8 @@ object SimDataflowRuntime {
     require(traceSeq.nonEmpty && rps > 0)
     val des = new Des
     val rnd = new Random(seed)
-    val route = new ServerPool(des, profile.routeWorkers, "route")
-    val exec = new ServerPool(des, profile.execWorkers, "exec")
+    val route = new ServerPool(des, profile.routeWorkers)
+    val exec = new ServerPool(des, profile.execWorkers)
 
     def jitter(): Double = math.exp(rnd.nextGaussian() * profile.jitterSigma)
 
@@ -111,9 +110,7 @@ object SimDataflowRuntime {
 
     val per = latencies.map { case (ep, xs) => ep -> stats(ep, xs.toSeq) }.toMap
     val all = latencies.values.flatten.toSeq
-    val durS = lastDone / 1000.0
     SimResult(per, stats("all", all),
-      execUtilization = exec.busyMs / (exec.servers * math.max(lastDone, 1e-9)),
-      durationS = durS)
+      execUtilization = exec.busyMs / (exec.servers * math.max(lastDone, 1e-9)))
   }
 }

@@ -49,6 +49,11 @@ class JsonSpec extends SparkSpec with PropSupport {
     intercept[IllegalArgumentException](parse("1 2"))
   }
 
+  test("truncated input is a parse error") {
+    for (in <- List("\"abc", "[", "{", "\"\\u00", "{\"a\":1"))
+      withClue(in)(intercept[IllegalArgumentException](parse(in)))
+  }
+
   test("object field order preserved by render") {
     val j = JObj(Vector("z" -> JInt(1), "a" -> JInt(2)))
     assert(render(j) == "{\"z\":1,\"a\":2}")
