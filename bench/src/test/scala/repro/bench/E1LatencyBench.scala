@@ -25,7 +25,7 @@ class E1LatencyBench extends SparkSpec {
     * endpoint, simulated at 10 RPS. Each endpoint's hop traces are computed
     * once and replayed under every profile. */
   private lazy val rows: List[(String, EndpointStats)] = {
-    val traces = endpoints.map(ep => ep -> SimDataflowRuntime.hotelTraces(500, Workload.only(ep), seed = 42)).toMap
+    val traces = endpoints.map(ep => ep -> SimDataflowRuntime.hotelTraces(500, Workload.only(ep))).toMap
     for {
       p <- RuntimeProfile.all
       ep <- endpoints

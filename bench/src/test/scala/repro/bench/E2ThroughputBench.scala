@@ -24,7 +24,7 @@ class E2ThroughputBench extends SparkSpec {
     * replayed under every profile. */
   private lazy val rows: List[(String, Int, EndpointStats)] = {
     val traces = rates.map(rps =>
-      rps -> SimDataflowRuntime.hotelTraces((rps * 4.5).toInt, Workload.paperMix, seed = 42)).toMap
+      rps -> SimDataflowRuntime.hotelTraces((rps * 4.5).toInt, Workload.paperMix)).toMap
     for {
       p <- List(RuntimeProfile.awsLambda, RuntimeProfile.statefun, RuntimeProfile.flinkJvm)
       rps <- rates
@@ -75,7 +75,7 @@ class E2ThroughputBench extends SparkSpec {
   }
 
   test("E2: pyflink is saturated at 150 RPS — excluded from the sweep (paper)") {
-    val traces = SimDataflowRuntime.hotelTraces(600, Workload.paperMix, seed = 42)
+    val traces = SimDataflowRuntime.hotelTraces(600, Workload.paperMix)
     val util = SimDataflowRuntime.simulate(RuntimeProfile.pyFlink, traces, rps = 150).execUtilization
     println(f"pyflink exec utilization at 150 RPS: ${util * 100}%.1f%% (timeouts; excluded)")
     assert(util > 0.95)

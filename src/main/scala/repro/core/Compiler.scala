@@ -32,6 +32,6 @@ object Compiler {
       cd.name -> OperatorDef(cd.name, cd.keyField, cd.fields, methods)
     }.toMap
     val edges = info.callEdges.map { case (a, b, c, d) => CallEdge(a, b, c, d) }
-    DataflowGraph(program, operators, edges, info)
+    DataflowGraph(program, operators, edges)
   }
 }

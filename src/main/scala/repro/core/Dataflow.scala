@@ -43,7 +43,6 @@ object Dataflow {
       program: Program,
       operators: Map[String, OperatorDef],
       edges: List[CallEdge],
-      typeInfo: TypeChecker.TypeInfo,
   ) {
     def operator(clazz: String): OperatorDef =
       operators.getOrElse(clazz, throw new NoSuchElementException(s"no operator for class $clazz"))

@@ -79,11 +79,10 @@ object Eval {
       e: Expr,
       vars: mutable.Map[String, Value],
       fields: mutable.Map[String, Value],
-      prog: Program,
       selfClass: ClassDef,
       remote: RemoteFn,
   ): Value = {
-    def ev(x: Expr): Value = expr(x, vars, fields, prog, selfClass, remote)
+    def ev(x: Expr): Value = expr(x, vars, fields, selfClass, remote)
     e match {
       case Const(v)    => v
       case Var(n)      => vars.getOrElse(n, throw new NoSuchElementException(s"unbound var $n"))
@@ -109,7 +108,7 @@ object Eval {
       case RemoteCall(t, m, as) => remote(ev(t).asRef, m, as.map(ev))
       case SelfCall(m, as) =>
         val fd = selfClass.method(m)
-        invokeLocal(fd, as.map(ev), fields, prog, selfClass, remote)
+        invokeLocal(fd, as.map(ev), fields, selfClass, remote)
     }
   }
 
@@ -153,11 +152,10 @@ object Eval {
       stmts: List[Stmt],
       vars: mutable.Map[String, Value],
       fields: mutable.Map[String, Value],
-      prog: Program,
       selfClass: ClassDef,
       remote: RemoteFn,
   ): Flow = {
-    def ev(e: Expr): Value = expr(e, vars, fields, prog, selfClass, remote)
+    def ev(e: Expr): Value = expr(e, vars, fields, selfClass, remote)
     var rest = stmts
     while (rest.nonEmpty) {
       rest.head match {
@@ -167,20 +165,20 @@ object Eval {
         case ExprStmt(e)     => ev(e)
         case Return(v)       => return Returned(ev(v))
         case If(c, t, f) =>
-          val flow = exec(if (ev(c).asBool) t else f, vars, fields, prog, selfClass, remote)
+          val flow = exec(if (ev(c).asBool) t else f, vars, fields, selfClass, remote)
           if (flow != FellThrough) return flow
         case ForEach(n, _, it, body) =>
           val items = ev(it).asList
           var i = 0
           while (i < items.length) {
             vars(n) = items(i)
-            val flow = exec(body, vars, fields, prog, selfClass, remote)
+            val flow = exec(body, vars, fields, selfClass, remote)
             if (flow != FellThrough) return flow
             i += 1
           }
         case While(c, body) =>
           while (ev(c).asBool) {
-            val flow = exec(body, vars, fields, prog, selfClass, remote)
+            val flow = exec(body, vars, fields, selfClass, remote)
             if (flow != FellThrough) return flow
           }
       }
@@ -195,7 +193,6 @@ object Eval {
       fd: FunctionDef,
       args: List[Value],
       fields: mutable.Map[String, Value],
-      prog: Program,
       selfClass: ClassDef,
       remote: RemoteFn,
   ): Value = {
@@ -203,7 +200,7 @@ object Eval {
       s"${selfClass.name}.${fd.name}: expected ${fd.params.length} args, got ${args.length}")
     val vars = mutable.Map.empty[String, Value]
     fd.params.zip(args).foreach { case ((n, _), v) => vars(n) = v }
-    exec(fd.body, vars, fields, prog, selfClass, remote) match {
+    exec(fd.body, vars, fields, selfClass, remote) match {
       case Returned(v)  => v
       case FellThrough  => Value.VUnit
     }

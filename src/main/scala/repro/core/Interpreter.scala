@@ -56,6 +56,6 @@ final class Interpreter(val program: Program) {
     calls += 1
     val cd = program.clazz(clazz)
     val fd = cd.method(method)
-    Eval.invokeLocal(fd, args, entity(clazz, key), program, cd, remoteFn)
+    Eval.invokeLocal(fd, args, entity(clazz, key), cd, remoteFn)
   }
 }

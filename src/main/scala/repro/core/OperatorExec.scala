@@ -70,7 +70,7 @@ object OperatorExec {
       case InlineMethod(_, fd) =>
         require(ev.block == EntryBlock,
           s"${ev.target.clazz}.${ev.method} is inline but got continuation block ${ev.block}")
-        val ret = Eval.exec(fd.body, vars, fields, graph.program, cd, Eval.noRemote) match {
+        val ret = Eval.exec(fd.body, vars, fields, cd, Eval.noRemote) match {
           case Eval.Returned(v) => v
           case Eval.FellThrough => Value.VUnit
         }
@@ -80,7 +80,7 @@ object OperatorExec {
         var cur = if (ev.block == EntryBlock) sm.entry else ev.block
         while (true) {
           val b = sm.block(cur)
-          Eval.exec(b.stmts, vars, fields, graph.program, cd, Eval.noRemote) match {
+          Eval.exec(b.stmts, vars, fields, cd, Eval.noRemote) match {
             case Eval.Returned(v) =>
               throw new IllegalStateException(s"return inside block statements of ${sm.clazz}.${sm.name}")
             case Eval.FellThrough => ()
@@ -88,17 +88,17 @@ object OperatorExec {
           b.term match {
             case Goto(t) => cur = t
             case CondBr(c, t, f) =>
-              cur = if (Eval.expr(c, vars, fields, graph.program, cd, Eval.noRemote).asBool) t else f
+              cur = if (Eval.expr(c, vars, fields, cd, Eval.noRemote).asBool) t else f
             case CallTerm(tg, m, as, resultVar, cont) =>
-              val ref = Eval.expr(tg, vars, fields, graph.program, cd, Eval.noRemote).asRef
-              val argVals = as.map(a => Eval.expr(a, vars, fields, graph.program, cd, Eval.noRemote))
+              val ref = Eval.expr(tg, vars, fields, cd, Eval.noRemote).asRef
+              val argVals = as.map(a => Eval.expr(a, vars, fields, cd, Eval.noRemote))
               val calleeEnv = bindArgs(graph, ref.clazz, m, argVals, Some(sm))
               val frame = Frame(ev.target, ev.method, cont, vars.toMap, resultVar)
               val out = Invoke(ev.requestId, ev.seq + 1, EntityAddr(ref.clazz, ref.key),
                                m, EntryBlock, calleeEnv, frame :: ev.stack)
               return StepResult(fields.toMap, out)
             case Ret(v) =>
-              val ret = Eval.expr(v, vars, fields, graph.program, cd, Eval.noRemote)
+              val ret = Eval.expr(v, vars, fields, cd, Eval.noRemote)
               return StepResult(fields.toMap, finish(ev, ret))
           }
         }

@@ -239,7 +239,7 @@ object HotelApp {
       ("Hotel", id, Map[String, Value](
         "capacity" -> int(capacity),
         "reserved" -> int(0),
-        "rate" -> dbl(5.0 - (i % 50) * 0.1),
+        "rate" -> dbl(hotelRate(i)),
         "price" -> int(80 + 7 * i % 200),
         "profile" -> str(s"profile-of-$id"),
       ))
@@ -248,7 +248,7 @@ object HotelApp {
       val region = s"reg-$r"
       val refs = (0 until hotelsPerRegion).map(i => ref("Hotel", s"h-$r-$i"))
       // rating index: hotels sorted by descending seeded rate (stable by id)
-      val sorted = refs.sortBy(h => -hotelRate(h.asRef.key, hotelsPerRegion))
+      val sorted = (0 until hotelsPerRegion).sortBy(i => -hotelRate(i)).map(refs)
       List(
         ("Geo", region, Map[String, Value]("hotels" -> VList(hotelRef, refs.toVector))),
         ("Rate", region, Map[String, Value]("by_rate" -> VList(hotelRef, sorted.toVector))),
@@ -266,10 +266,8 @@ object HotelApp {
     hotelSeeds ++ regionSeeds ++ userSeeds
   }
 
-  private def hotelRate(id: String, hotelsPerRegion: Int): Double = {
-    val i = id.substring(id.lastIndexOf('-') + 1).toInt
-    5.0 - (i % 50) * 0.1
-  }
+  /** Seeded rate of the `i`-th hotel of a region. */
+  private def hotelRate(i: Int): Double = 5.0 - (i % 50) * 0.1
 
   // ------------------------------------------------------------- endpoints
 

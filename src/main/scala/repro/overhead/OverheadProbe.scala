@@ -75,11 +75,11 @@ object OverheadProbe {
     * event beyond pure serialization, charged as `SimKV`'s latency, half on
     * the read and half on the write. 100 µs is a conservative RocksDB
     * WAL+memtable put for a 50–200 KB value (the paper's backends write to
-    * Flink managed state or DynamoDB, which costs far more). `warmup`
+    * Flink managed state or DynamoDB, which costs far more). 1000 warm-up
     * events run the full path before measurement so JIT compilation does
     * not pollute the first sampled configuration. */
-  def run(stateKb: Int, events: Int, storePenaltyNs: Long = 100_000L,
-          warmup: Int = 1000): Breakdown = {
+  def run(stateKb: Int, events: Int, storePenaltyNs: Long = 100_000L): Breakdown = {
+    val warmup = 1000
     val graph = Compiler.compile(program)
     val addr = EntityAddr("Blob", "b1")
     val kv = new SimKV(latencyNanos = storePenaltyNs / 2)

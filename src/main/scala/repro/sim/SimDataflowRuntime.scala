@@ -46,14 +46,14 @@ object SimDataflowRuntime {
     }
   }
 
-  /** Convenience: hotel-app traces for a workload mix. */
-  def hotelTraces(n: Int, mix: Workload.Mix, nRegions: Int = 10,
-                  hotelsPerRegion: Int = 5, nUsers: Int = 100,
-                  seed: Long = 42L): Seq[Trace] = {
+  /** Convenience: hotel-app traces for a workload mix over 10 regions of 5
+    * hotels and 100 users, drawn with `Workload.generate`'s default seed. */
+  def hotelTraces(n: Int, mix: Workload.Mix): Seq[Trace] = {
+    val (nRegions, hotelsPerRegion, nUsers) = (10, 5, 100)
     val graph = Compiler.compile(repro.deathstar.HotelApp.program)
     val seeds = repro.deathstar.HotelApp.seeds(nRegions, hotelsPerRegion, nUsers,
       capacity = 1000000) // capacity effectively unbounded: traces stay uniform
-    traces(graph, seeds, Workload.generate(n, mix, nRegions, hotelsPerRegion, nUsers, seed))
+    traces(graph, seeds, Workload.generate(n, mix, nRegions, hotelsPerRegion, nUsers))
   }
 
   /** Simulate `traceSeq` arriving as an open-loop Poisson process at

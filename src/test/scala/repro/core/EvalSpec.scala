@@ -10,12 +10,11 @@ import Value._
 class EvalSpec extends SparkSpec {
 
   private val emptyClass = ClassDef("T", "k", List(FieldDef("k", TStr, str(""))), Nil)
-  private val prog = Program(List(emptyClass))
 
   private def ev(e: Expr, vars: Map[String, Value] = Map.empty,
                  fields: Map[String, Value] = Map.empty): Value =
     Eval.expr(e, mutable.Map.empty ++ vars, mutable.Map.empty ++ fields,
-              prog, emptyClass, Eval.noRemote)
+              emptyClass, Eval.noRemote)
 
   test("integer arithmetic") {
     assert(ev(BinOp("+", Const(int(2)), Const(int(3)))) == int(5))
@@ -114,7 +113,7 @@ class EvalSpec extends SparkSpec {
       Assign("x", TInt, Const(int(1))),
       SetVar("x", BinOp("+", Var("x"), Const(int(1)))),
       SetField("bal", BinOp("+", FieldGet("bal"), Var("x"))),
-    ), vars, fields, prog, emptyClass, Eval.noRemote)
+    ), vars, fields, emptyClass, Eval.noRemote)
     assert(flow == Eval.FellThrough)
     assert(vars("x") == int(2))
     assert(fields("bal") == int(12))
@@ -126,7 +125,7 @@ class EvalSpec extends SparkSpec {
       If(BinOp(">", Var("a"), Const(int(3))),
         List(Return(Const(str("big")))),
         List(Return(Const(str("small"))))),
-    ), vars, mutable.Map.empty, prog, emptyClass, Eval.noRemote)
+    ), vars, mutable.Map.empty, emptyClass, Eval.noRemote)
     assert(flow == Eval.Returned(str("big")))
   }
 
@@ -140,7 +139,7 @@ class EvalSpec extends SparkSpec {
       )),
       Return(Const(int(-1))),
     )
-    assert(Eval.exec(body, vars, mutable.Map.empty, prog, emptyClass, Eval.noRemote) ==
+    assert(Eval.exec(body, vars, mutable.Map.empty, emptyClass, Eval.noRemote) ==
       Eval.Returned(int(10))) // 0+1+2+3+4
   }
 
@@ -153,7 +152,7 @@ class EvalSpec extends SparkSpec {
       )),
       Return(Var("n")),
     )
-    assert(Eval.exec(body, vars, mutable.Map.empty, prog, emptyClass, Eval.noRemote) ==
+    assert(Eval.exec(body, vars, mutable.Map.empty, emptyClass, Eval.noRemote) ==
       Eval.Returned(int(128)))
   }
 
@@ -172,10 +171,9 @@ class EvalSpec extends SparkSpec {
           Return(FieldGet("n")),
         )),
       ))
-    val p = Program(List(cd))
     val fields = mutable.Map[String, Value]("k" -> str("x"), "n" -> int(5))
     val out = Eval.expr(SelfCall("bump", List(Const(int(3)))),
-      mutable.Map.empty, fields, p, cd, Eval.noRemote)
+      mutable.Map.empty, fields, cd, Eval.noRemote)
     assert(out == int(8))
     assert(fields("n") == int(8))
   }
