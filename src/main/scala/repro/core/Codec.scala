@@ -1,64 +1,13 @@
 package repro.core
 
-import scala.collection.mutable
-
-/** Self-contained JSON codec.
-  *
-  * Events and operator state must cross runtime boundaries (Spark shuffles,
-  * the simulated Kafka log, the FaaS KV store), so everything the runtime
-  * moves is encoded as JSON strings via this module. Hand-rolled rather than
-  * Jackson so the wire format is fully specified here and round-trip tested
-  * with ScalaCheck.
+/** JSON text primitives shared by `Json` and `Codec`: the one string escape
+  * loop (`writeString`) and a cursor over the text whose `string()` is the
+  * one unescape loop. Malformed text fails with `IllegalArgumentException`,
+  * whose message is built only when it is thrown.
   */
-object Json {
-  sealed trait J
-  final case class JStr(v: String) extends J
-  final case class JNum(v: Double) extends J
-  /** Longs are carried as strings inside a tagged object by the Value codec;
-    * JInt exists for exact integer rendering of small counts. */
-  final case class JInt(v: Long) extends J
-  final case class JBool(v: Boolean) extends J
-  case object JNull extends J
-  final case class JArr(items: Vector[J]) extends J
-  final case class JObj(fields: Vector[(String, J)]) extends J {
-    lazy val map: Map[String, J] = fields.toMap
-    def apply(k: String): J = map.getOrElse(k, throw new NoSuchElementException(s"no key $k in $this"))
-    def get(k: String): Option[J] = map.get(k)
-  }
+private[core] object JsonText {
 
-  object JObj { def of(fs: (String, J)*): JObj = JObj(fs.toVector) }
-
-  def render(j: J): String = {
-    val sb = new StringBuilder
-    renderTo(j, sb)
-    sb.toString
-  }
-
-  private def renderTo(j: J, sb: StringBuilder): Unit = j match {
-    case JStr(v)  => renderString(v, sb)
-    case JNum(v)  =>
-      if (v.isNaN || v.isInfinite) { sb ++= "\"" ++= v.toString ++= "\"" }
-      else sb ++= (if (v == math.rint(v) && math.abs(v) < 1e15) s"${v.toLong}.0" else v.toString)
-    case JInt(v)  => sb ++= v.toString
-    case JBool(v) => sb ++= v.toString
-    case JNull    => sb ++= "null"
-    case JArr(xs) =>
-      sb += '['
-      var first = true
-      xs.foreach { x => if (!first) sb += ','; first = false; renderTo(x, sb) }
-      sb += ']'
-    case JObj(fs) =>
-      sb += '{'
-      var first = true
-      fs.foreach { case (k, v) =>
-        if (!first) sb += ','
-        first = false
-        renderString(k, sb); sb += ':'; renderTo(v, sb)
-      }
-      sb += '}'
-  }
-
-  private def renderString(s: String, sb: StringBuilder): Unit = {
+  def writeString(s: String, sb: StringBuilder): Unit = {
     sb += '"'
     s.foreach {
       case '"'  => sb ++= "\\\""
@@ -72,48 +21,44 @@ object Json {
     sb += '"'
   }
 
-  /** Recursive-descent parser for the subset this codec emits (full JSON
-    * minus exponents-with-plus corner cases it never produces). */
-  def parse(s: String): J = {
-    val p = new Parser(s)
-    val j = p.value()
-    p.skipWs()
-    require(p.eof, s"trailing characters at ${p.pos} in: $s")
-    j
+  /** Writes `xs` separated by commas. */
+  def writeAll[A](xs: IterableOnce[A], sb: StringBuilder)(write: A => Unit): Unit = {
+    var first = true
+    xs.iterator.foreach { x => if (!first) sb += ','; first = false; write(x) }
   }
 
-  private final class Parser(s: String) {
+  class Cursor(protected val s: String) {
     var pos = 0
     def eof: Boolean = pos >= s.length
     def skipWs(): Unit = while (!eof && s.charAt(pos).isWhitespace) pos += 1
+    def fail(what: String): Nothing = throw new IllegalArgumentException(s"$what at $pos in: $s")
     // End of input is a parse error; the message is built only when thrown.
-    private def ch: Char =
+    def ch: Char =
       if (pos < s.length) s.charAt(pos)
       else throw new IllegalArgumentException(s"unexpected end of input in: $s")
-    private def expect(c: Char): Unit = {
-      require(!eof && ch == c, s"expected '$c' at $pos in: $s")
+    def expect(c: Char): Unit = {
+      if (ch != c) fail(s"expected '$c'")
       pos += 1
     }
-
-    def value(): J = {
-      skipWs()
-      ch match {
-        case '"' => JStr(string())
-        case '{' => obj()
-        case '[' => arr()
-        case 't' => lit("true"); JBool(true)
-        case 'f' => lit("false"); JBool(false)
-        case 'n' => lit("null"); JNull
-        case _   => number()
-      }
-    }
-
-    private def lit(l: String): Unit = {
-      require(s.regionMatches(pos, l, 0, l.length), s"bad literal at $pos in: $s")
+    def lit(l: String): Unit = {
+      if (!s.regionMatches(pos, l, 0, l.length)) fail(s"expected $l")
       pos += l.length
     }
+    /** Reads the comma-separated elements of a list or object up to and
+      * including `close`, calling `item` for each. */
+    def items(close: Char)(item: => Unit): Unit =
+      if (ch == close) pos += 1
+      else while ({ item; more(close) }) ()
+    private def more(close: Char): Boolean = {
+      val c = ch
+      if (c != ',' && c != close) fail(s"expected ',' or '$close'")
+      pos += 1
+      c == ','
+    }
+    /** Fails unless the whole text was read. */
+    def end(): Unit = if (!eof) fail("trailing characters")
 
-    private def string(): String = {
+    def string(): String = {
       expect('"')
       val sb = new StringBuilder
       while (ch != '"') {
@@ -141,6 +86,77 @@ object Json {
       pos += 1
       sb.toString
     }
+  }
+}
+
+/** A JSON tree with its renderer and parser, for the hand-written baseline
+  * services (`BaselineHotel`), which exchange JSON documents. The entity
+  * runtimes' wire format is `Codec`, which writes and reads text directly.
+  */
+object Json {
+  sealed trait J
+  final case class JStr(v: String) extends J
+  final case class JNum(v: Double) extends J
+  /** Integers without a decimal point, rendered exactly. */
+  final case class JInt(v: Long) extends J
+  final case class JBool(v: Boolean) extends J
+  case object JNull extends J
+  final case class JArr(items: Vector[J]) extends J
+  final case class JObj(fields: Vector[(String, J)]) extends J {
+    lazy val map: Map[String, J] = fields.toMap
+    def apply(k: String): J = map.getOrElse(k, throw new NoSuchElementException(s"no key $k in $this"))
+    def get(k: String): Option[J] = map.get(k)
+  }
+
+  object JObj { def of(fs: (String, J)*): JObj = JObj(fs.toVector) }
+
+  def render(j: J): String = {
+    val sb = new StringBuilder
+    renderTo(j, sb)
+    sb.toString
+  }
+
+  private def renderTo(j: J, sb: StringBuilder): Unit = j match {
+    case JStr(v)  => JsonText.writeString(v, sb)
+    case JNum(v)  =>
+      if (v.isNaN || v.isInfinite) { sb ++= "\"" ++= v.toString ++= "\"" }
+      else sb ++= (if (v == math.rint(v) && math.abs(v) < 1e15) s"${v.toLong}.0" else v.toString)
+    case JInt(v)  => sb ++= v.toString
+    case JBool(v) => sb ++= v.toString
+    case JNull    => sb ++= "null"
+    case JArr(xs) =>
+      sb += '['
+      JsonText.writeAll(xs, sb)(renderTo(_, sb))
+      sb += ']'
+    case JObj(fs) =>
+      sb += '{'
+      JsonText.writeAll(fs, sb) { case (k, v) => JsonText.writeString(k, sb); sb += ':'; renderTo(v, sb) }
+      sb += '}'
+  }
+
+  /** Recursive-descent parser for the subset this renderer emits (full JSON
+    * minus exponents-with-plus corner cases it never produces). */
+  def parse(s: String): J = {
+    val p = new Parser(s)
+    val j = p.value()
+    p.skipWs()
+    p.end()
+    j
+  }
+
+  private final class Parser(text: String) extends JsonText.Cursor(text) {
+    def value(): J = {
+      skipWs()
+      ch match {
+        case '"' => JStr(string())
+        case '{' => obj()
+        case '[' => arr()
+        case 't' => lit("true"); JBool(true)
+        case 'f' => lit("false"); JBool(false)
+        case 'n' => lit("null"); JNull
+        case _   => number()
+      }
+    }
 
     private def number(): J = {
       val start = pos
@@ -153,111 +169,151 @@ object Json {
 
     private def arr(): J = {
       expect('[')
-      val buf = Vector.newBuilder[J]
       skipWs()
-      if (ch == ']') { pos += 1; return JArr(Vector.empty) }
-      var done = false
-      while (!done) {
-        buf += value()
-        skipWs()
-        if (ch == ',') { pos += 1 } else { expect(']'); done = true }
-      }
+      val buf = Vector.newBuilder[J]
+      items(']') { buf += value(); skipWs() }
       JArr(buf.result())
     }
 
     private def obj(): J = {
       expect('{')
-      val buf = Vector.newBuilder[(String, J)]
       skipWs()
-      if (ch == '}') { pos += 1; return JObj(Vector.empty) }
-      var done = false
-      while (!done) {
+      val buf = Vector.newBuilder[(String, J)]
+      items('}') {
         skipWs()
         val k = string()
         skipWs(); expect(':')
         buf += (k -> value())
         skipWs()
-        if (ch == ',') { pos += 1 } else { expect('}'); done = true }
       }
       JObj(buf.result())
     }
   }
 }
 
-/** Wire codec for entity-language types, values, and state maps. */
+/** Wire codec for entity-language values and state maps; `Events` encodes
+  * events on the same writer and reader.
+  *
+  * Events and operator state cross runtime boundaries (Spark shuffles, the
+  * FaaS KV store), so everything a runtime moves is JSON text. Values are
+  * written straight into one `StringBuilder` and read straight off the text
+  * with one cursor; no intermediate tree is built. The format:
+  *
+  *  - a value is `{"t":tag,...}`: `{"t":"i","v":-1}`, `{"t":"d","v":"0.5"}`
+  *    (the `Double.toString` text), `{"t":"b","v":true}`,
+  *    `{"t":"s","v":"..."}`, `{"t":"u"}`, `{"t":"l","e":type,"v":[...]}`
+  *    and `{"t":"r","c":"Class","k":"key"}`;
+  *  - a type is `"i"`, `"d"`, `"b"`, `"s"`, `"u"`, `"?"`, `{"l":type}` or
+  *    `{"r":"Class"}`;
+  *  - an environment is an object of values with its keys sorted, so equal
+  *    maps encode to equal text.
+  *
+  * The reader accepts exactly what the writer produces (fixed key order, no
+  * whitespace); anything else fails with `IllegalArgumentException`.
+  */
 object Codec {
-  import Json._
+  import JsonText.{writeAll, writeString}
 
-  // ------------------------------------------------------------ types
+  private val typeTags: Map[EType, String] = Map(EType.TInt -> "i", EType.TDouble -> "d",
+    EType.TBool -> "b", EType.TStr -> "s", EType.TUnit -> "u", EType.TInfer -> "?")
+  private val tagTypes: Map[String, EType] = typeTags.map(_.swap)
 
-  def typeToJson(t: EType): J = t match {
-    case EType.TInt     => JStr("i")
-    case EType.TDouble  => JStr("d")
-    case EType.TBool    => JStr("b")
-    case EType.TStr     => JStr("s")
-    case EType.TUnit    => JStr("u")
-    case EType.TList(e) => JObj.of("l" -> typeToJson(e))
-    case EType.TRef(c)  => JObj.of("r" -> JStr(c))
-    case EType.TInfer   => JStr("?")
+  // ------------------------------------------------------------ writer
+
+  private def writeType(t: EType, sb: StringBuilder): Unit = t match {
+    case EType.TList(e) => sb ++= "{\"l\":"; writeType(e, sb); sb += '}'
+    case EType.TRef(c)  => sb ++= "{\"r\":"; writeString(c, sb); sb += '}'
+    case _              => sb += '"' ++= typeTags(t) += '"'
   }
 
-  def typeFromJson(j: J): EType = j match {
-    case JStr("i") => EType.TInt
-    case JStr("d") => EType.TDouble
-    case JStr("b") => EType.TBool
-    case JStr("s") => EType.TStr
-    case JStr("u") => EType.TUnit
-    case JStr("?") => EType.TInfer
-    case o: JObj if o.get("l").isDefined => EType.TList(typeFromJson(o("l")))
-    case o: JObj if o.get("r").isDefined => EType.TRef(o("r").asInstanceOf[JStr].v)
-    case other => throw new IllegalArgumentException(s"bad type json: $other")
+  private[core] def writeValue(v: Value, sb: StringBuilder): Unit = v match {
+    case Value.VInt(i)      => sb ++= "{\"t\":\"i\",\"v\":"; sb.append(i); sb += '}'
+    case Value.VDouble(d)   => sb ++= "{\"t\":\"d\",\"v\":\""; sb ++= java.lang.Double.toString(d); sb ++= "\"}"
+    case Value.VBool(b)     => sb ++= "{\"t\":\"b\",\"v\":"; sb ++= (if (b) "true" else "false"); sb += '}'
+    case Value.VStr(s)      => sb ++= "{\"t\":\"s\",\"v\":"; writeString(s, sb); sb += '}'
+    case Value.VUnit        => sb ++= "{\"t\":\"u\"}"
+    case Value.VList(e, xs) =>
+      sb ++= "{\"t\":\"l\",\"e\":"; writeType(e, sb); sb ++= ",\"v\":["
+      writeAll(xs, sb)(writeValue(_, sb))
+      sb ++= "]}"
+    case Value.VRef(c, k)   =>
+      sb ++= "{\"t\":\"r\",\"c\":"; writeString(c, sb); sb ++= ",\"k\":"; writeString(k, sb); sb += '}'
   }
 
-  // ------------------------------------------------------------ values
-
-  def valueToJson(v: Value): J = v match {
-    case Value.VInt(i)       => JObj.of("t" -> JStr("i"), "v" -> JInt(i))
-    case Value.VDouble(d)    => JObj.of("t" -> JStr("d"), "v" -> JStr(java.lang.Double.toString(d)))
-    case Value.VBool(b)      => JObj.of("t" -> JStr("b"), "v" -> JBool(b))
-    case Value.VStr(s)       => JObj.of("t" -> JStr("s"), "v" -> JStr(s))
-    case Value.VUnit         => JObj.of("t" -> JStr("u"))
-    case Value.VList(e, xs)  => JObj.of("t" -> JStr("l"), "e" -> typeToJson(e),
-                                        "v" -> JArr(xs.map(valueToJson)))
-    case Value.VRef(c, k)    => JObj.of("t" -> JStr("r"), "c" -> JStr(c), "k" -> JStr(k))
+  private[core] def writeEnv(env: Map[String, Value], sb: StringBuilder): Unit = {
+    val kvs = env.toArray
+    kvs.sortInPlaceBy(_._1)
+    sb += '{'
+    writeAll(kvs.iterator, sb) { case (k, v) => writeString(k, sb); sb += ':'; writeValue(v, sb) }
+    sb += '}'
   }
 
-  def valueFromJson(j: J): Value = {
-    val o = j.asInstanceOf[JObj]
-    o("t").asInstanceOf[JStr].v match {
-      case "i" => Value.VInt(o("v").asInstanceOf[JInt].v)
-      case "d" => Value.VDouble(o("v").asInstanceOf[JStr].v.toDouble)
-      case "b" => Value.VBool(o("v").asInstanceOf[JBool].v)
-      case "s" => Value.VStr(o("v").asInstanceOf[JStr].v)
-      case "u" => Value.VUnit
-      case "l" => Value.VList(typeFromJson(o("e")),
-                              o("v").asInstanceOf[JArr].items.map(valueFromJson))
-      case "r" => Value.VRef(o("c").asInstanceOf[JStr].v, o("k").asInstanceOf[JStr].v)
-      case t   => throw new IllegalArgumentException(s"bad value tag $t")
+  // ------------------------------------------------------------ reader
+
+  /** Reads what the writer wrote; `str` and `num` read a value after the
+    * literal text `before` (a key with its separators). */
+  private[core] final class Reader(text: String) extends JsonText.Cursor(text) {
+
+    def long(): Long = {
+      val start = pos
+      if (ch == '-') pos += 1
+      while (!eof && ch >= '0' && ch <= '9') pos += 1
+      java.lang.Long.parseLong(s, start, pos, 10)
+    }
+
+    def str(before: String): String = { lit(before); string() }
+    def num(before: String): Long   = { lit(before); long() }
+
+    def tpe(): EType =
+      if (s.startsWith("{\"l\":", pos)) { pos += 5; val e = tpe(); expect('}'); EType.TList(e) }
+      else if (ch == '{') { val c = str("{\"r\":"); expect('}'); EType.TRef(c) }
+      else { val t = string(); tagTypes.getOrElse(t, fail(s"bad type tag $t")) }
+
+    def value(): Value = {
+      lit("{\"t\":\"")
+      val tag = ch
+      pos += 1
+      val v = tag match {
+        case 'i' => Value.VInt(num("\",\"v\":"))
+        case 'd' => Value.VDouble(java.lang.Double.parseDouble(str("\",\"v\":")))
+        case 'b' => lit("\",\"v\":"); Value.VBool(if (ch == 't') { lit("true"); true } else { lit("false"); false })
+        case 's' => Value.VStr(str("\",\"v\":"))
+        case 'u' => expect('"'); Value.VUnit
+        case 'l' =>
+          lit("\",\"e\":")
+          val e = tpe()
+          lit(",\"v\":[")
+          val xs = Vector.newBuilder[Value]
+          items(']')(xs += value())
+          Value.VList(e, xs.result())
+        case 'r' => Value.VRef(str("\",\"c\":"), str(",\"k\":"))
+        case _   => fail(s"bad value tag $tag")
+      }
+      expect('}')
+      v
+    }
+
+    def env(): Map[String, Value] = {
+      expect('{')
+      val b = Map.newBuilder[String, Value]
+      items('}') {
+        val k = string()
+        expect(':')
+        b += k -> value()
+      }
+      b.result()
     }
   }
 
-  def encodeValue(v: Value): String  = render(valueToJson(v))
-  def decodeValue(s: String): Value  = valueFromJson(parse(s))
+  // ------------------------------------------------------------ entry points
 
-  // ----------------------------------------------------- environments/state
+  def encodeValue(v: Value): String = { val sb = new StringBuilder; writeValue(v, sb); sb.toString }
+
+  def decodeValue(s: String): Value = { val r = new Reader(s); val v = r.value(); r.end(); v }
 
   /** Encode a variable environment or entity field map. Keys sorted so the
     * encoding is canonical (stable across runtimes and test re-runs). */
-  def envToJson(env: Map[String, Value]): J =
-    JObj(env.toVector.sortBy(_._1).map { case (k, v) => k -> valueToJson(v) })
+  def encodeEnv(env: Map[String, Value]): String = { val sb = new StringBuilder; writeEnv(env, sb); sb.toString }
 
-  def envFromJson(j: J): Map[String, Value] = {
-    val o = j.asInstanceOf[JObj]
-    val b = mutable.Map.empty[String, Value]
-    o.fields.foreach { case (k, v) => b(k) = valueFromJson(v) }
-    b.toMap
-  }
-
-  def encodeEnv(env: Map[String, Value]): String = render(envToJson(env))
-  def decodeEnv(s: String): Map[String, Value]   = envFromJson(parse(s))
+  def decodeEnv(s: String): Map[String, Value] = { val r = new Reader(s); val e = r.env(); r.end(); e }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import Json._
+import JsonText.{writeAll, writeString}
 
 /** The event model (§2.2, Table 1).
   *
@@ -63,56 +63,69 @@ object Events {
   final case class Reply(requestId: String, value: Value) extends Event
 
   // ------------------------------------------------------------- wire codec
+  //
+  // An Invoke is {"t":"inv","rid":..,"seq":..,"cls":..,"key":..,"m":..,
+  // "b":..,"env":{..},"stk":[frame,..]}, a frame {"c":..,"k":..,"m":..,
+  // "b":..,"e":{..},"r":..}, and a Reply {"t":"rep","rid":..,"v":value}, all
+  // written and read by Codec's writer and reader.
 
-  def frameToJson(f: Frame): J = JObj.of(
-    "c" -> JStr(f.caller.clazz), "k" -> JStr(f.caller.key),
-    "m" -> JStr(f.method), "b" -> JInt(f.contBlock),
-    "e" -> Codec.envToJson(f.env), "r" -> JStr(f.resultVar),
-  )
-
-  def frameFromJson(j: J): Frame = {
-    val o = j.asInstanceOf[JObj]
-    Frame(
-      EntityAddr(o("c").asInstanceOf[JStr].v, o("k").asInstanceOf[JStr].v),
-      o("m").asInstanceOf[JStr].v,
-      o("b").asInstanceOf[JInt].v.toInt,
-      Codec.envFromJson(o("e")),
-      o("r").asInstanceOf[JStr].v,
-    )
-  }
-
-  def toJson(ev: Event): J = ev match {
-    case Invoke(rid, seq, t, m, b, env, stack) => JObj.of(
-      "t"   -> JStr("inv"),
-      "rid" -> JStr(rid),
-      "seq" -> JInt(seq),
-      "cls" -> JStr(t.clazz), "key" -> JStr(t.key),
-      "m"   -> JStr(m), "b" -> JInt(b),
-      "env" -> Codec.envToJson(env),
-      "stk" -> JArr(stack.map(frameToJson).toVector),
-    )
-    case Reply(rid, v) => JObj.of(
-      "t" -> JStr("rep"), "rid" -> JStr(rid), "v" -> Codec.valueToJson(v),
-    )
-  }
-
-  def fromJson(j: J): Event = {
-    val o = j.asInstanceOf[JObj]
-    o("t").asInstanceOf[JStr].v match {
-      case "inv" => Invoke(
-        o("rid").asInstanceOf[JStr].v,
-        o("seq").asInstanceOf[JInt].v,
-        EntityAddr(o("cls").asInstanceOf[JStr].v, o("key").asInstanceOf[JStr].v),
-        o("m").asInstanceOf[JStr].v,
-        o("b").asInstanceOf[JInt].v.toInt,
-        Codec.envFromJson(o("env")),
-        o("stk").asInstanceOf[JArr].items.map(frameFromJson).toList,
-      )
-      case "rep" => Reply(o("rid").asInstanceOf[JStr].v, Codec.valueFromJson(o("v")))
-      case t     => throw new IllegalArgumentException(s"bad event tag $t")
+  def encode(ev: Event): String = {
+    val sb = new StringBuilder
+    ev match {
+      case Invoke(rid, seq, t, m, b, env, stack) =>
+        sb ++= "{\"t\":\"inv\",\"rid\":"; writeString(rid, sb)
+        sb ++= ",\"seq\":"; sb.append(seq)
+        sb ++= ",\"cls\":"; writeString(t.clazz, sb)
+        sb ++= ",\"key\":"; writeString(t.key, sb)
+        sb ++= ",\"m\":"; writeString(m, sb)
+        sb ++= ",\"b\":"; sb.append(b)
+        sb ++= ",\"env\":"; Codec.writeEnv(env, sb)
+        sb ++= ",\"stk\":["
+        writeAll(stack, sb)(writeFrame(_, sb))
+        sb ++= "]}"
+      case Reply(rid, v) =>
+        sb ++= "{\"t\":\"rep\",\"rid\":"; writeString(rid, sb)
+        sb ++= ",\"v\":"; Codec.writeValue(v, sb)
+        sb += '}'
     }
+    sb.toString
   }
 
-  def encode(ev: Event): String = render(toJson(ev))
-  def decode(s: String): Event  = fromJson(parse(s))
+  private def writeFrame(f: Frame, sb: StringBuilder): Unit = {
+    sb ++= "{\"c\":"; writeString(f.caller.clazz, sb)
+    sb ++= ",\"k\":"; writeString(f.caller.key, sb)
+    sb ++= ",\"m\":"; writeString(f.method, sb)
+    sb ++= ",\"b\":"; sb.append(f.contBlock)
+    sb ++= ",\"e\":"; Codec.writeEnv(f.env, sb)
+    sb ++= ",\"r\":"; writeString(f.resultVar, sb)
+    sb += '}'
+  }
+
+  // Arguments are evaluated left to right, so each constructor below reads
+  // its fields in the order the writer wrote them.
+  def decode(s: String): Event = {
+    val r = new Codec.Reader(s)
+    val ev = r.str("{\"t\":") match {
+      case "inv" =>
+        Invoke(r.str(",\"rid\":"), r.num(",\"seq\":"), EntityAddr(r.str(",\"cls\":"), r.str(",\"key\":")),
+          r.str(",\"m\":"), r.num(",\"b\":").toInt, { r.lit(",\"env\":"); r.env() }, {
+            r.lit(",\"stk\":[")
+            val stack = List.newBuilder[Frame]
+            r.items(']')(stack += readFrame(r))
+            stack.result()
+          })
+      case "rep" => Reply(r.str(",\"rid\":"), { r.lit(",\"v\":"); r.value() })
+      case t     => r.fail(s"bad event tag $t")
+    }
+    r.expect('}')
+    r.end()
+    ev
+  }
+
+  private def readFrame(r: Codec.Reader): Frame = {
+    val f = Frame(EntityAddr(r.str("{\"c\":"), r.str(",\"k\":")), r.str(",\"m\":"), r.num(",\"b\":").toInt,
+      { r.lit(",\"e\":"); r.env() }, r.str(",\"r\":"))
+    r.expect('}')
+    f
+  }
 }

@@ -9,9 +9,22 @@ class CodecSpec extends SparkSpec with PropSupport {
 
   // ------------------------------------------------------------ generators
 
+  /** Any UTF-16 code unit, weighted towards the ones the escape loop
+    * treats specially: quote, backslash, control characters, non-ASCII and
+    * lone surrogates. */
+  val genChar: Gen[Char] = Gen.frequency(
+    4 -> Gen.asciiPrintableChar,
+    1 -> Gen.oneOf('"', '\\', '/', '\n', '\r', '\t', '\b', '\f'),
+    1 -> Gen.choose('\u0000', '\u001f'),
+    1 -> Gen.choose('\u007f', '\uffff'),
+    1 -> Gen.choose('\ud800', '\udfff'),
+  )
+
+  val genStr: Gen[String] = Gen.listOf(genChar).map(_.mkString)
+
   val genType: Gen[EType] = {
     val leaf = Gen.oneOf[EType](EType.TInt, EType.TDouble, EType.TBool, EType.TStr,
-                                EType.TUnit, EType.TRef("User"), EType.TRef("Item"))
+                                EType.TUnit, EType.TRef("User"), EType.TRef("It\"em\u00e9"))
     Gen.frequency(4 -> leaf, 1 -> leaf.map(EType.TList.apply))
   }
 
@@ -19,9 +32,9 @@ class CodecSpec extends SparkSpec with PropSupport {
     case EType.TInt    => Gen.long.map(VInt.apply)
     case EType.TDouble => Gen.chooseNum(-1e12, 1e12).map(VDouble.apply)
     case EType.TBool   => Gen.oneOf(true, false).map(VBool.apply)
-    case EType.TStr    => Gen.asciiPrintableStr.map(VStr.apply)
+    case EType.TStr    => genStr.map(VStr.apply)
     case EType.TUnit   => Gen.const(VUnit)
-    case EType.TRef(c) => Gen.identifier.map(k => VRef(c, k))
+    case EType.TRef(c) => genStr.map(k => VRef(c, k))
     case EType.TList(e) if depth > 0 =>
       Gen.listOfN(3, genValueOf(e, depth - 1)).map(xs => VList(e, xs.toVector))
     case EType.TList(e) => Gen.const(VList(e, Vector.empty))
@@ -31,7 +44,7 @@ class CodecSpec extends SparkSpec with PropSupport {
   val genValue: Gen[Value] = genType.flatMap(t => genValueOf(t))
 
   val genEnv: Gen[Map[String, Value]] =
-    Gen.mapOfN(4, Gen.zip(Gen.identifier, genValue))
+    Gen.mapOfN(4, Gen.zip(genStr, genValue))
 
   // ------------------------------------------------------------ tests
 
@@ -76,7 +89,7 @@ class CodecSpec extends SparkSpec with PropSupport {
   test("types round-trip") {
     val ts = List(EType.TInt, EType.TDouble, EType.TBool, EType.TStr, EType.TUnit,
                   EType.TRef("X"), EType.TList(EType.TList(EType.TRef("Y"))), EType.TInfer)
-    ts.foreach(t => assert(Codec.typeFromJson(Codec.typeToJson(t)) == t))
+    ts.foreach(t => assert(Codec.decodeValue(Codec.encodeValue(VList(t, Vector.empty))).tpe == EType.TList(t)))
   }
 
   test("property: arbitrary values round-trip") {
@@ -87,27 +100,94 @@ class CodecSpec extends SparkSpec with PropSupport {
     checkProp(Prop.forAll(genEnv) { e => Codec.decodeEnv(Codec.encodeEnv(e)) == e })
   }
 
+  test("property: re-encoding a decoded environment gives the same text") {
+    checkProp(Prop.forAll(genEnv) { e =>
+      val s = Codec.encodeEnv(e)
+      Codec.encodeEnv(Codec.decodeEnv(s)) == s
+    })
+  }
+
+  // ------------------------------------------------------------ wire format
+
+  // One environment with every Value and EType case. The expected text is
+  // the format's definition: stored states and event sizes depend on it.
+  val goldenEnv: Map[String, Value] = Map(
+    "int" -> int(-42),
+    "dbl" -> dbl(-0.0),
+    "big" -> dbl(1.0E20),
+    "yes" -> bool(true),
+    "str" -> str("a\"b\\c\nd\te\rf\u0001g\u00e9\ud83d"),
+    "unit" -> VUnit,
+    "ref" -> ref("Hotel", "h|1"),
+    "nested" -> VList(EType.TList(EType.TInt), Vector(
+      VList(EType.TInt, Vector(int(1), int(Long.MinValue))), VList(EType.TInt, Vector.empty))),
+    "dbls" -> list(EType.TDouble, dbl(0.1)),
+    "bools" -> list(EType.TBool, bool(false)),
+    "strs" -> list(EType.TStr),
+    "units" -> list(EType.TUnit, VUnit),
+    "refs" -> list(EType.TRef("Item"), ref("Item", "i-9")),
+    "infer" -> list(EType.TInfer),
+    "Z" -> int(0),
+  )
+
+  val goldenEnvText: String =
+    "{\"Z\":{\"t\":\"i\",\"v\":0},\"big\":{\"t\":\"d\",\"v\":\"1.0E20\"}," +
+    "\"bools\":{\"t\":\"l\",\"e\":\"b\",\"v\":[{\"t\":\"b\",\"v\":false}]}," +
+    "\"dbl\":{\"t\":\"d\",\"v\":\"-0.0\"}," +
+    "\"dbls\":{\"t\":\"l\",\"e\":\"d\",\"v\":[{\"t\":\"d\",\"v\":\"0.1\"}]}," +
+    "\"infer\":{\"t\":\"l\",\"e\":\"?\",\"v\":[]},\"int\":{\"t\":\"i\",\"v\":-42}," +
+    "\"nested\":{\"t\":\"l\",\"e\":{\"l\":\"i\"},\"v\":[{\"t\":\"l\",\"e\":\"i\",\"v\":" +
+    "[{\"t\":\"i\",\"v\":1},{\"t\":\"i\",\"v\":-9223372036854775808}]}," +
+    "{\"t\":\"l\",\"e\":\"i\",\"v\":[]}]}," +
+    "\"ref\":{\"t\":\"r\",\"c\":\"Hotel\",\"k\":\"h|1\"}," +
+    "\"refs\":{\"t\":\"l\",\"e\":{\"r\":\"Item\"},\"v\":[{\"t\":\"r\",\"c\":\"Item\",\"k\":\"i-9\"}]}," +
+    "\"str\":{\"t\":\"s\",\"v\":\"a\\\"b\\\\c\\nd\\te\\rf\\u0001g\u00e9\ud83d\"}," +
+    "\"strs\":{\"t\":\"l\",\"e\":\"s\",\"v\":[]},\"unit\":{\"t\":\"u\"}," +
+    "\"units\":{\"t\":\"l\",\"e\":\"u\",\"v\":[{\"t\":\"u\"}]},\"yes\":{\"t\":\"b\",\"v\":true}}"
+
+  test("golden: an environment with every value and type case encodes to fixed text") {
+    assert(Codec.encodeEnv(goldenEnv) == goldenEnvText)
+    assert(Codec.decodeEnv(goldenEnvText) == goldenEnv)
+  }
+
+  test("malformed environments and values fail with IllegalArgumentException") {
+    val bad = List(
+      goldenEnvText.dropRight(1),                 // truncated
+      goldenEnvText.take(goldenEnvText.length / 2),
+      "",
+      "{\"x\":{\"t\":\"q\",\"v\":1}}",              // unknown value tag
+      "{\"x\":{\"t\":\"l\",\"e\":\"q\",\"v\":[]}}", // unknown type tag
+      "{\"x\":{\"t\":\"i\",\"v\":1.5}}",            // not an integer
+      goldenEnvText + " ",                        // trailing characters
+      goldenEnvText + "{}",
+    )
+    bad.foreach(s => withClue(s)(intercept[IllegalArgumentException](Codec.decodeEnv(s))))
+    val v = Codec.encodeValue(list(EType.TStr, str("a")))
+    List(v.dropRight(1), v.take(5), "{\"t\":\"x\"}", v + "x", "{\"t\":\"b\",\"v\":maybe}")
+      .foreach(s => withClue(s)(intercept[IllegalArgumentException](Codec.decodeValue(s))))
+  }
+
   // ------------------------------------------------------------ events
 
   import Events._
 
   val genFrame: Gen[Frame] = for {
     c <- Gen.oneOf("User", "Item")
-    k <- Gen.identifier
-    m <- Gen.identifier
+    k <- genStr
+    m <- genStr
     b <- Gen.chooseNum(0, 20)
     e <- genEnv
-    r <- Gen.identifier
+    r <- genStr
   } yield Frame(EntityAddr(c, k), m, b, e, r)
 
   val genEvent: Gen[Event] = Gen.oneOf(
     for {
-      rid <- Gen.identifier; seq <- Gen.chooseNum(0L, 100L)
-      c <- Gen.oneOf("User", "Item"); k <- Gen.identifier
-      m <- Gen.identifier; b <- Gen.chooseNum(-1, 20)
+      rid <- genStr; seq <- Gen.chooseNum(0L, 100L)
+      c <- Gen.oneOf("User", "Item"); k <- genStr
+      m <- genStr; b <- Gen.chooseNum(-1, 20)
       env <- genEnv; stk <- Gen.listOfN(2, genFrame)
     } yield Invoke(rid, seq, EntityAddr(c, k), m, b, env, stk),
-    for { rid <- Gen.identifier; v <- genValue } yield Reply(rid, v),
+    for { rid <- genStr; v <- genValue } yield Reply(rid, v),
   )
 
   test("invoke event round-trips with stack and env") {
@@ -122,14 +202,61 @@ class CodecSpec extends SparkSpec with PropSupport {
     assert(Events.decode(Events.encode(ev)) == ev)
   }
 
-  test("routing key round-trips and sorts by class first") {
+  test("routing key round-trips; the key may contain the separator") {
+    // The first '|' separates class and key, so a key may contain '|'.
     val a = EntityAddr("User", "x|y")
-    // keys may not contain '|': the first separator wins, so class survives.
+    assert(EntityAddr.fromRoutingKey(a.routingKey) == a)
     assert(EntityAddr.fromRoutingKey(EntityAddr("User", "plain").routingKey) ==
       EntityAddr("User", "plain"))
   }
 
   test("property: arbitrary events round-trip") {
     checkProp(Prop.forAll(genEvent) { ev => Events.decode(Events.encode(ev)) == ev })
+  }
+
+  val goldenInvoke: Invoke = Invoke("r\"1", 7L, EntityAddr("User", "u 1"), "reserve", 3,
+    Map("x" -> int(1), "h" -> ref("Hotel", "h2")),
+    List(Frame(EntityAddr("Frontend", "f"), "search", -1, Map("acc" -> list(EType.TStr, str("a"))), "res"),
+         Frame(EntityAddr("Client", ""), "main", 0, Map.empty, "r")))
+
+  val goldenInvokeText: String =
+    "{\"t\":\"inv\",\"rid\":\"r\\\"1\",\"seq\":7,\"cls\":\"User\",\"key\":\"u 1\",\"m\":\"reserve\"," +
+    "\"b\":3,\"env\":{\"h\":{\"t\":\"r\",\"c\":\"Hotel\",\"k\":\"h2\"},\"x\":{\"t\":\"i\",\"v\":1}}," +
+    "\"stk\":[{\"c\":\"Frontend\",\"k\":\"f\",\"m\":\"search\",\"b\":-1," +
+    "\"e\":{\"acc\":{\"t\":\"l\",\"e\":\"s\",\"v\":[{\"t\":\"s\",\"v\":\"a\"}]}},\"r\":\"res\"}," +
+    "{\"c\":\"Client\",\"k\":\"\",\"m\":\"main\",\"b\":0,\"e\":{},\"r\":\"r\"}]}"
+
+  val goldenReply: Reply = Reply("r2", list(EType.TRef("Hotel"), ref("Hotel", "h1")))
+
+  val goldenReplyText: String =
+    "{\"t\":\"rep\",\"rid\":\"r2\",\"v\":{\"t\":\"l\",\"e\":{\"r\":\"Hotel\"}," +
+    "\"v\":[{\"t\":\"r\",\"c\":\"Hotel\",\"k\":\"h1\"}]}}"
+
+  test("golden: invoke and reply events encode to fixed text") {
+    assert(Events.encode(goldenInvoke) == goldenInvokeText)
+    assert(Events.decode(goldenInvokeText) == goldenInvoke)
+    assert(Events.encode(goldenReply) == goldenReplyText)
+    assert(Events.decode(goldenReplyText) == goldenReply)
+  }
+
+  test("property: re-encoding a decoded event gives the same text") {
+    checkProp(Prop.forAll(genEvent) { ev =>
+      val s = Events.encode(ev)
+      Events.encode(Events.decode(s)) == s
+    })
+  }
+
+  test("malformed events fail with IllegalArgumentException") {
+    val bad = List(
+      goldenInvokeText.dropRight(1),                    // truncated
+      goldenInvokeText.take(goldenInvokeText.length / 2),
+      goldenReplyText.dropRight(3),
+      "",
+      goldenInvokeText.replace("\"inv\"", "\"call\""),    // unknown event tag
+      goldenReplyText.replace("\"t\":\"r\"", "\"t\":\"z\""), // unknown value tag
+      goldenInvokeText + "}",                           // trailing characters
+      goldenReplyText + "\n",
+    )
+    bad.foreach(s => withClue(s)(intercept[IllegalArgumentException](Events.decode(s))))
   }
 }
