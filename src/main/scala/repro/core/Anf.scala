@@ -47,11 +47,6 @@ object Anf {
       case Assign(nm, t, v) =>
         val (p, v2) = hoist(v)
         p :+ Assign(nm, t, v2)
-      case SetVar(nm, RemoteCall(tg, m, as)) =>
-        val (p1, tg2) = hoist(tg)
-        val (p2, as2) = hoistAll(as)
-        val tmp = fresh()
-        p1 ++ p2 ++ List(Assign(tmp, EType.TInfer, RemoteCall(tg2, m, as2)), SetVar(nm, Var(tmp)))
       case SetVar(nm, v) =>
         val (p, v2) = hoist(v)
         p :+ SetVar(nm, v2)

@@ -28,8 +28,8 @@ object Ast {
   final case class Neg(e: Expr) extends Expr
   /** List literal `[e1, e2, ...]` with declared element type. */
   final case class MakeList(elem: EType, items: List[Expr]) extends Expr
-  /** Built-in pure function: len, get, append, concat, min, max, str,
-    * contains, slice, ref (construct an entity reference from a key). */
+  /** Call of a built-in pure function; [[Builtins.table]] lists them, each
+    * with its type rule and implementation. */
   final case class Builtin(name: String, args: List[Expr]) extends Expr
   /** Method call on an entity reference — *possibly remote* (§2.2): the
     * receiver expression must have type `TRef(c)` and the event is routed to
@@ -91,6 +91,11 @@ object Ast {
     def field(name: String): FieldDef =
       fields.find(_.name == name)
         .getOrElse(throw new NoSuchElementException(s"class ${this.name} has no field $name"))
+    /** Field defaults, built once: every seed and every fresh entity starts
+      * from them. */
+    val defaults: Map[String, Value] = fields.map(f => f.name -> f.init).toMap
+    /** Initial field state of a fresh entity with the given key. */
+    def initialState(key: String): Map[String, Value] = defaults + (keyField -> Value.VStr(key))
     override def toString: String = s"class $name"
   }
 

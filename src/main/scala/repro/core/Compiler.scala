@@ -29,9 +29,9 @@ object Compiler {
           else SplitMethod(Splitter.split(cd.name, Anf.normalize(fd)))
         fd.name -> compiled
       }.toMap
-      cd.name -> OperatorDef(cd.name, cd.keyField, cd.fields, methods)
+      cd.name -> OperatorDef(cd, methods)
     }.toMap
     val edges = info.callEdges.map { case (a, b, c, d) => CallEdge(a, b, c, d) }
-    DataflowGraph(program, operators, edges)
+    DataflowGraph(operators, edges)
   }
 }

@@ -14,22 +14,14 @@ import StateMachine._
   */
 object Dataflow {
 
-  /** A dataflow operator: the code + state schema of one entity class. */
-  final case class OperatorDef(
-      clazz: String,
-      keyField: String,
-      fields: List[FieldDef],
-      methods: Map[String, CompiledMethod],
-  ) {
+  /** A dataflow operator: one entity class (its state schema and key
+    * field) and its compiled methods. */
+  final case class OperatorDef(cd: ClassDef, methods: Map[String, CompiledMethod]) {
     def method(name: String): CompiledMethod =
-      methods.getOrElse(name, throw new NoSuchElementException(s"operator $clazz has no method $name"))
-
-    /** Field defaults, built once: every seed and every fresh entity
-      * starts from them. */
-    private val defaults: Map[String, Value] = fields.map(f => f.name -> f.init).toMap
+      methods.getOrElse(name, throw new NoSuchElementException(s"operator ${cd.name} has no method $name"))
 
     /** Initial field state for a fresh entity with the given key. */
-    def initialState(key: String): Map[String, Value] = defaults + (keyField -> Value.VStr(key))
+    def initialState(key: String): Map[String, Value] = cd.initialState(key)
   }
 
   /** A static call edge discovered during compilation: class `from`'s method
@@ -39,11 +31,7 @@ object Dataflow {
   final case class CallEdge(from: String, fromMethod: String, to: String, toMethod: String)
 
   /** The complete IR handed to every target runtime. */
-  final case class DataflowGraph(
-      program: Program,
-      operators: Map[String, OperatorDef],
-      edges: List[CallEdge],
-  ) {
+  final case class DataflowGraph(operators: Map[String, OperatorDef], edges: List[CallEdge]) {
     def operator(clazz: String): OperatorDef =
       operators.getOrElse(clazz, throw new NoSuchElementException(s"no operator for class $clazz"))
 

@@ -112,32 +112,11 @@ object Eval {
     }
   }
 
-  /** Built-in pure functions on already-evaluated arguments. */
-  def builtin(name: String, args: List[Value]): Value = (name, args) match {
-    case ("len", List(Value.VList(_, xs))) => Value.VInt(xs.length)
-    case ("len", List(Value.VStr(s)))      => Value.VInt(s.length)
-    case ("get", List(Value.VList(_, xs), Value.VInt(i))) => xs(i.toInt)
-    case ("append", List(Value.VList(t, xs), x)) => Value.VList(t, xs :+ x)
-    case ("concat", List(Value.VList(t, a), Value.VList(_, b))) => Value.VList(t, a ++ b)
-    case ("contains", List(Value.VList(_, xs), x)) => Value.VBool(xs.contains(x))
-    case ("indexof", List(Value.VList(_, xs), x)) => Value.VInt(xs.indexOf(x))
-    case ("slice", List(Value.VList(t, xs), Value.VInt(a), Value.VInt(b))) =>
-      Value.VList(t, xs.slice(a.toInt, b.toInt))
-    case ("min", List(a, b)) => if (a.asDouble <= b.asDouble) a else b
-    case ("max", List(a, b)) => if (a.asDouble >= b.asDouble) a else b
-    case ("abs", List(Value.VInt(i)))    => Value.VInt(math.abs(i))
-    case ("abs", List(Value.VDouble(d))) => Value.VDouble(math.abs(d))
-    case ("str", List(v))    => Value.VStr(show(v))
-    case ("int", List(Value.VStr(s)))    => Value.VInt(s.toLong)
-    case ("int", List(Value.VDouble(d))) => Value.VInt(d.toLong)
-    case ("int", List(v: Value.VInt))    => v
-    case ("range", List(Value.VInt(n))) =>
-      Value.VList(EType.TInt, (0L until n).map(Value.VInt.apply).toVector)
-    case ("ref", List(Value.VStr(clazz), key)) => Value.VRef(clazz, show(key))
-    case ("refkey", List(r: Value.VRef)) => Value.VStr(r.key)
-    case ("sqrt", List(v)) => Value.VDouble(math.sqrt(v.asDouble))
-    case _ => throw new IllegalArgumentException(
-      s"unknown builtin $name/${args.length} for ${args.map(_.tpe.render)}")
+  /** Built-in pure functions on already-evaluated arguments; each one's
+    * implementation is its [[Builtins.table]] entry. */
+  def builtin(name: String, args: List[Value]): Value = Builtins.table.get(name) match {
+    case Some(b) => b.run(args)
+    case None    => throw new IllegalArgumentException(s"unknown builtin $name/${args.length}")
   }
 
   /** Result of executing a statement list: either fell through or returned. */

@@ -23,13 +23,8 @@ final class Interpreter(val program: Program) {
 
   /** Field map of an entity, created from field defaults on first touch. */
   def entity(clazz: String, key: String): mutable.Map[String, Value] =
-    state.getOrElseUpdate((clazz, key), {
-      val cd = program.clazz(clazz)
-      val m = mutable.Map.empty[String, Value]
-      cd.fields.foreach(f => m(f.name) = f.init)
-      m(cd.keyField) = Value.VStr(key)
-      m
-    })
+    state.getOrElseUpdate((clazz, key),
+      mutable.Map.empty[String, Value] ++ program.clazz(clazz).initialState(key))
 
   /** Overwrite an entity's fields (workload seeding, like a DB load). */
   def seed(clazz: String, key: String, fields: Map[String, Value]): Unit = {
@@ -39,10 +34,7 @@ final class Interpreter(val program: Program) {
 
   /** Read-only snapshot of an entity's state. */
   def snapshot(clazz: String, key: String): Map[String, Value] =
-    state.get((clazz, key)).map(_.toMap).getOrElse {
-      val cd = program.clazz(clazz)
-      cd.fields.map(f => f.name -> f.init).toMap + (cd.keyField -> Value.VStr(key))
-    }
+    state.get((clazz, key)).map(_.toMap).getOrElse(program.clazz(clazz).initialState(key))
 
   /** All materialized entities of a class. */
   def entitiesOf(clazz: String): Map[String, Map[String, Value]] =

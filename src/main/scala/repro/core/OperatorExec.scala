@@ -58,7 +58,7 @@ object OperatorExec {
     val op = graph.operator(ev.target.clazz)
     val fields = mutable.Map.empty[String, Value]
     fields ++= fields0.getOrElse(op.initialState(ev.target.key))
-    Activation(graph, ev, graph.program.clazz(ev.target.clazz), op.method(ev.method), fields,
+    Activation(graph, ev, op.cd, op.method(ev.method), fields,
                mutable.Map.empty[String, Value] ++ ev.env)
   }
 

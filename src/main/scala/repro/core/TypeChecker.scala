@@ -2,6 +2,7 @@ package repro.core
 
 import scala.collection.mutable
 import Ast._
+import EType.{numeric, typesMatch}
 
 /** The static pass of §2.1.
   *
@@ -11,8 +12,11 @@ import Ast._
   * and is never re-assigned (the paper relies on programmer discipline for
   * this; we enforce it statically); remote calls are discovered through
   * entity-reference types; `self` calls are restricted to remote-free
-  * methods so they can run inline in the operator. All types are checked
-  * serializable (§2.1: no DB connections/pipes in state or events).
+  * methods so they can run inline in the operator; a method that declares
+  * a result returns on every path. Builtin calls are typed by their
+  * [[Builtins.table]] rules. Every `EType` is serializable by construction
+  * (§2.1: no DB connections/pipes in state or events), so no check is
+  * needed for it.
   */
 object TypeChecker {
 
@@ -44,8 +48,6 @@ object TypeChecker {
       else if (cd.field(cd.keyField).tpe != EType.TStr)
         errs += TypeError(where, s"key field ${cd.keyField} must be str (it partitions the operator)")
       cd.fields.foreach { f =>
-        if (!EType.serializable(f.tpe))
-          errs += TypeError(where, s"field ${f.name} has non-serializable type")
         refTargets(f.tpe).foreach { c =>
           if (!classNames(c)) errs += TypeError(where, s"field ${f.name} references unknown class $c")
         }
@@ -113,15 +115,6 @@ object TypeChecker {
   private def collectSelfCalls(b: List[Stmt]): Set[String] =
     bodyExprs(b).flatMap(subExprs).collect { case SelfCall(m, _) => m }.toSet
 
-  /** Widening: int is assignable where float is expected. */
-  private def typesMatch(declared: EType, actual: EType): Boolean =
-    declared == actual ||
-      (declared == EType.TDouble && actual == EType.TInt) ||
-      ((declared, actual) match {
-        case (EType.TList(a), EType.TList(b)) => typesMatch(a, b)
-        case _                                => false
-      })
-
   // -------------------------------------------------------- method checking
 
   private def checkMethod(
@@ -135,10 +128,7 @@ object TypeChecker {
   ): Unit = {
     val where = s"${cd.name}.${fd.name}"
     val vars = mutable.Map.empty[String, EType]
-    fd.params.foreach { case (n, t) =>
-      vars(n) = t
-      if (!EType.serializable(t)) errs += TypeError(where, s"param $n not serializable")
-    }
+    fd.params.foreach { case (n, t) => vars(n) = t }
 
     def err(msg: String): Unit = errs += TypeError(where, msg)
 
@@ -181,10 +171,20 @@ object TypeChecker {
       case Builtin("ref", Const(Value.VStr(c)) :: key :: Nil) =>
         // ref("Hotel", k) constructs a typed entity reference; the class name
         // must be a literal so the static pass can type it (paper: remote
-        // calls are discovered through type annotations).
+        // calls are discovered through type annotations). Any other ref
+        // call meets ref's empty rule below.
         infer(key)
         if (!classNames(c)) { err(s"ref to unknown class $c"); None } else Some(EType.TRef(c))
-      case Builtin(name, args) => inferBuiltin(name, args.map(infer), err)
+      case Builtin(name, args) =>
+        val ts = args.flatMap(infer)
+        Builtins.table.get(name) match {
+          case None => err(s"unknown builtin $name"); None
+          case Some(_) if ts.length < args.length => None // an argument already failed
+          case Some(b) =>
+            val t = b.resultType(ts)
+            if (t.isEmpty) err(s"$name: no rule for ${Builtins.render(ts)}")
+            t
+        }
       case RemoteCall(t, m, as) =>
         infer(t) match {
           case Some(EType.TRef(c)) if classNames(c) =>
@@ -257,40 +257,19 @@ object TypeChecker {
     }
 
     checkBody(fd.body)
+    if (fd.returnType != EType.TUnit && !returns(fd.body))
+      err(s"not every path returns the declared ${fd.returnType.render}")
   }
 
-  private def numeric(t: EType): Boolean = t == EType.TInt || t == EType.TDouble
+  /** Definite return: some statement of `b` returns on every path — a
+    * `return`, or an `if` whose branches both do. Loops do not count: their
+    * body may run zero times. */
+  private def returns(b: List[Stmt]): Boolean = b.exists {
+    case Return(_)   => true
+    case If(_, t, e) => returns(t) && returns(e)
+    case _           => false
+  }
 
   private def comparable(a: EType, b: EType): Boolean =
     (numeric(a) && numeric(b)) || (a == EType.TStr && b == EType.TStr)
-
-  private def inferBuiltin(name: String, args: List[Option[EType]],
-                           err: String => Unit): Option[EType] = {
-    def a(i: Int): Option[EType] = args.lift(i).flatten
-    name match {
-      case "len"      => Some(EType.TInt)
-      case "get"      => a(0) match {
-        case Some(EType.TList(e)) => Some(e)
-        case Some(t)              => err(s"get on ${t.render}"); None
-        case None                 => None
-      }
-      case "append"   => a(0)
-      case "concat"   => a(0)
-      case "slice"    => a(0)
-      case "contains" => Some(EType.TBool)
-      case "indexof"  => Some(EType.TInt)
-      case "min" | "max" => a(0).orElse(a(1))
-      case "abs"      => a(0)
-      case "str"      => Some(EType.TStr)
-      case "int"      => Some(EType.TInt)
-      case "range"    => Some(EType.TList(EType.TInt))
-      case "ref"      => a(0) match {
-        case Some(EType.TStr) => None // refined below by caller context; see note
-        case _                => err("ref: first arg must be a class-name string literal"); None
-      }
-      case "refkey"   => Some(EType.TStr)
-      case "sqrt"     => Some(EType.TDouble)
-      case other      => err(s"unknown builtin $other"); None
-    }
-  }
 }

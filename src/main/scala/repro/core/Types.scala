@@ -7,7 +7,8 @@ package repro.core
   * reference to another stateful entity) to discover remote calls — a method
   * call whose receiver has type `TRef(c)` is a possibly-remote invocation of
   * class `c` (the paper's "references to remote stateful entities via Python
-  * type annotations").
+  * type annotations"). Every `EType` is serializable by construction: what
+  * §2.1 rejects (DB connections, pipes) simply has no `EType`.
   */
 sealed trait EType {
   def render: String = this match {
@@ -45,12 +46,16 @@ object EType {
     * it). */
   case object TInfer extends EType
 
-  /** True when values of this type are serializable across an event hop.
-    * All entity-language types are; the check exists so new types must make
-    * an explicit choice (paper §2.1: DB connections, pipes, etc. are
-    * rejected — such constructs simply have no `EType`). */
-  def serializable(t: EType): Boolean = t match {
-    case TList(e) => serializable(e)
-    case _        => true
-  }
+  /** Widening: `actual` is assignable where `declared` is expected when
+    * they are equal, or when an int goes where a float is expected
+    * (element-wise inside lists). */
+  def typesMatch(declared: EType, actual: EType): Boolean =
+    declared == actual ||
+      (declared == TDouble && actual == TInt) ||
+      ((declared, actual) match {
+        case (TList(a), TList(b)) => typesMatch(a, b)
+        case _                    => false
+      })
+
+  def numeric(t: EType): Boolean = t == TInt || t == TDouble
 }

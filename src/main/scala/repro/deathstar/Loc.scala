@@ -1,6 +1,5 @@
 package repro.deathstar
 
-import java.io.File
 import java.nio.file.{Files, Path, Paths}
 import scala.jdk.CollectionConverters._
 

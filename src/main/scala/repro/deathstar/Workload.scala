@@ -32,9 +32,9 @@ object Workload {
   }
 
   /** Zipf(1.1)-skewed index in [0, n): the workloads' one key-skew draw. */
-  private[repro] def zipf(rnd: Random, n: Int, alpha: Double = 1.1): Int = {
+  private[repro] def zipf(rnd: Random, n: Int): Int = {
     val u = rnd.nextDouble()
-    val x = math.pow(1.0 / (u + 1e-12), 1.0 / alpha) - 1.0
+    val x = math.pow(1.0 / (u + 1e-12), 1.0 / 1.1) - 1.0
     math.min(n - 1, math.max(0, x.toInt))
   }
 

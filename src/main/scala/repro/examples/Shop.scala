@@ -1,6 +1,5 @@
 package repro.examples
 
-import repro.core._
 import repro.core.Ast._
 import repro.core.EType._
 import repro.core.Value._

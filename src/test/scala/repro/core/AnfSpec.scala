@@ -28,8 +28,6 @@ class AnfSpec extends SparkSpec {
       bClass,
     ))
 
-  private def b: Expr = Builtin("ref", List(Const(str("B")), Const(str("b1"))))
-
   test("normalized Shop methods satisfy the ANF invariant") {
     Shop.program.classes.foreach { cd =>
       cd.methods.foreach { fd =>

@@ -17,12 +17,12 @@ class CompilerSpec extends SparkSpec {
 
   test("T1: each class becomes one dataflow operator") {
     assert(graph.operators.keySet == Set("User", "Item"))
-    assert(graph.operator("User").clazz == "User")
+    assert(graph.operator("User").cd.name == "User")
   }
 
   test("T1: object state becomes operator state (schema carried in IR)") {
     val op = graph.operator("User")
-    assert(op.fields.map(_.name).toSet == Set("userid", "balance", "basket"))
+    assert(op.cd.fields.map(_.name).toSet == Set("userid", "balance", "basket"))
     assert(op.initialState("u1")("balance") == int(1000))
     assert(op.initialState("u1")("userid") == str("u1"))
   }

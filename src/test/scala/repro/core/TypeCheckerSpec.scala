@@ -183,6 +183,70 @@ class TypeCheckerSpec extends SparkSpec {
       )),
     ))))
     assert(errorsOf(p).exists(_.contains("unknown class Nope")))
+    // A class name held in a variable cannot type the reference.
+    val q = Program(List(cls("A", List(
+      FunctionDef("m", List("c" -> TStr), TUnit, List(
+        Assign("x", TRef("A"), Builtin("ref", List(Var("c"), Const(str("1"))))),
+      )),
+    ))))
+    assert(errorsOf(q).exists(_.contains("ref: no rule for (str, str)")))
+  }
+
+  // Builtin calls the checker once accepted and that then failed at run
+  // time or gave a value of the wrong type, each with the error it now gets.
+  private val xs = Const(list(TInt, int(1), int(2)))
+  Seq[(String, FunctionDef, String)](
+    ("append of a str to a List[int] field",
+     FunctionDef("m", Nil, TUnit, List(SetField("xs", Builtin("append", List(FieldGet("xs"), Const(str("x"))))))),
+     "append: no rule for (List[int], str)"),
+    ("min(int, float) returned as int",
+     FunctionDef("m", Nil, TInt, List(Return(Builtin("min", List(Const(int(3)), Const(dbl(0.5))))))),
+     "return float, declared int"),
+    ("ref with a variable class name",
+     FunctionDef("m", List("c" -> TStr), TUnit, List(ExprStmt(Builtin("ref", List(Var("c"), Const(str("k"))))))),
+     "ref: no rule for (str, str)"),
+    ("len of an int",
+     FunctionDef("m", Nil, TInt, List(Return(Builtin("len", List(Const(int(5))))))),
+     "len: no rule for (int)"),
+    ("len without arguments",
+     FunctionDef("m", Nil, TInt, List(Return(Builtin("len", Nil)))),
+     "len: no rule for ()"),
+    ("get with a str index",
+     FunctionDef("m", Nil, TInt, List(Return(Builtin("get", List(xs, Const(str("0"))))))),
+     "get: no rule for (List[int], str)"),
+    ("slice with a str bound",
+     FunctionDef("m", Nil, TList(TInt), List(Return(Builtin("slice", List(xs, Const(str("a")), Const(int(1))))))),
+     "slice: no rule for (List[int], str, int)"),
+    ("range of a str",
+     FunctionDef("m", Nil, TList(TInt), List(Return(Builtin("range", List(Const(str("3"))))))),
+     "range: no rule for (str)"),
+    ("min of two strs",
+     FunctionDef("m", Nil, TStr, List(Return(Builtin("min", List(Const(str("a")), Const(str("b"))))))),
+     "min: no rule for (str, str)"),
+  ).foreach { case (what, fd, msg) =>
+    test(s"builtin rules reject $what") {
+      val p = Program(List(cls("A", List(fd), List(FieldDef("xs", TList(TInt), list(TInt))))))
+      val errs = errorsOf(p)
+      assert(errs.exists(_.contains(msg)), errs)
+    }
+  }
+
+  test("a method that declares a result must return on every path") {
+    def prog(body: List[Stmt]) = Program(List(cls("A", List(FunctionDef("m", List("x" -> TInt), TInt, body)))))
+    val pos = BinOp(">", Var("x"), Const(int(0)))
+    // if x > 0: return x   — falls through for x <= 0
+    assert(errorsOf(prog(List(If(pos, List(Return(Var("x"))), Nil))))
+      .exists(_.contains("A.m: not every path returns the declared int")))
+    // a loop's body may run zero times
+    assert(errorsOf(prog(List(While(pos, List(Return(Var("x")))))))
+      .exists(_.contains("not every path returns")))
+    assert(errorsOf(prog(List(ForEach("i", TInt, Builtin("range", List(Var("x"))), List(Return(Var("i")))))))
+      .exists(_.contains("not every path returns")))
+    // both branches return, or a return follows
+    assert(TypeChecker.check(prog(List(If(pos, List(Return(Var("x"))), List(Return(Const(int(0)))))))).isRight)
+    assert(TypeChecker.check(prog(List(If(pos, List(Return(Var("x"))), Nil), Return(Const(int(0)))))).isRight)
+    // a procedure may fall through
+    assert(TypeChecker.check(Program(List(cls("A", List(FunctionDef("p", Nil, TUnit, Nil)))))).isRight)
   }
 
   test("duplicate class and method names rejected") {

@@ -3,7 +3,6 @@ package repro.deathstar
 import repro.SparkSpec
 import repro.core._
 import repro.runtime.LocalRuntime
-import EType._
 import Value._
 
 /** The DeathStar hotel service: endpoint semantics, the paper's entity-call

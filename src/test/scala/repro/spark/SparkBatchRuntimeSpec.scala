@@ -6,7 +6,6 @@ import repro.core.Events.EntityAddr
 import repro.deathstar.{HotelApp, Workload}
 import repro.examples.Shop
 import repro.runtime.LocalRuntime
-import EType._
 import Value._
 
 /** Spark batch dataflow runtime: hop-round execution over a state Dataset

@@ -3,10 +3,9 @@ package repro.spark
 import repro.SparkSpec
 import repro.core._
 import repro.core.Events.EntityAddr
-import repro.deathstar.{HotelApp, Workload}
+import repro.deathstar.HotelApp
 import repro.examples.Shop
 import repro.runtime.LocalRuntime
-import EType._
 import Value._
 
 /** The Structured Streaming runtime (the repro hint's prescribed mapping):
