@@ -94,6 +94,8 @@ object Ast {
     /** Field defaults, built once: every seed and every fresh entity starts
       * from them. */
     val defaults: Map[String, Value] = fields.map(f => f.name -> f.init).toMap
+    /** Declared field types by name, built once for the state codec. */
+    val fieldTypes: Map[String, EType] = fields.map(f => f.name -> f.tpe).toMap
     /** Initial field state of a fresh entity with the given key. */
     def initialState(key: String): Map[String, Value] = defaults + (keyField -> Value.VStr(key))
     override def toString: String = s"class $name"

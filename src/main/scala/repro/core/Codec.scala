@@ -206,7 +206,17 @@ object Json {
   *  - a type is `"i"`, `"d"`, `"b"`, `"s"`, `"u"`, `"?"`, `{"l":type}` or
   *    `{"r":"Class"}`;
   *  - an environment is an object of values with its keys sorted, so equal
-  *    maps encode to equal text.
+  *    maps encode to equal text;
+  *  - entity state ([[encodeState]]) is an object like an environment, but
+  *    each field is written under its declared type, untagged: an int,
+  *    bool or string bare, a float as its quoted `Double.toString` text, a
+  *    `TRef(c)` as just its key and a list as a bare array of its elements,
+  *    each written the same way under the element type. A value whose
+  *    runtime type is not exactly the declared one (an int widened into a
+  *    float, a `VUnit` default, a list with another element type, a field
+  *    the class does not declare) is written tagged. A tagged value starts
+  *    with `{` and no untagged one does, so the reader tells them apart by
+  *    their first character.
   *
   * The reader accepts exactly what the writer produces (fixed key order, no
   * whitespace); anything else fails with `IllegalArgumentException`.
@@ -240,13 +250,32 @@ object Codec {
       sb ++= "{\"t\":\"r\",\"c\":"; writeString(c, sb); sb ++= ",\"k\":"; writeString(k, sb); sb += '}'
   }
 
-  private[core] def writeEnv(env: Map[String, Value], sb: StringBuilder): Unit = {
+  /** Untagged when `v`'s runtime type is exactly `t`, tagged otherwise. */
+  private def writeTyped(t: EType, v: Value, sb: StringBuilder): Unit = v match {
+    case Value.VInt(i) if t == EType.TInt       => sb.append(i)
+    case Value.VDouble(d) if t == EType.TDouble => sb += '"' ++= java.lang.Double.toString(d) += '"'
+    case Value.VBool(b) if t == EType.TBool     => sb ++= (if (b) "true" else "false")
+    case Value.VStr(s) if t == EType.TStr       => writeString(s, sb)
+    case Value.VRef(c, k) if t == EType.TRef(c) => writeString(k, sb)
+    case Value.VList(e, xs) if t == EType.TList(e) =>
+      sb += '['
+      writeAll(xs, sb)(writeTyped(e, _, sb))
+      sb += ']'
+    case _ => writeValue(v, sb)
+  }
+
+  /** An object of `env`'s entries with its keys sorted; `write` writes the
+    * value of each. */
+  private def writeObject(env: Map[String, Value], sb: StringBuilder)(write: (String, Value) => Unit): Unit = {
     val kvs = env.toArray
     kvs.sortInPlaceBy(_._1)
     sb += '{'
-    writeAll(kvs.iterator, sb) { case (k, v) => writeString(k, sb); sb += ':'; writeValue(v, sb) }
+    writeAll(kvs.iterator, sb) { case (k, v) => writeString(k, sb); sb += ':'; write(k, v) }
     sb += '}'
   }
+
+  private[core] def writeEnv(env: Map[String, Value], sb: StringBuilder): Unit =
+    writeObject(env, sb)((_, v) => writeValue(v, sb))
 
   // ------------------------------------------------------------ reader
 
@@ -293,16 +322,36 @@ object Codec {
       v
     }
 
-    def env(): Map[String, Value] = {
+    /** A value `writeTyped` wrote under `t`. */
+    def typed(t: EType): Value =
+      if (ch == '{') value()
+      else t match {
+        case EType.TInt    => Value.VInt(long())
+        case EType.TDouble => Value.VDouble(java.lang.Double.parseDouble(string()))
+        case EType.TBool   => Value.VBool(if (ch == 't') { lit("true"); true } else { lit("false"); false })
+        case EType.TStr    => Value.VStr(string())
+        case EType.TRef(c) => Value.VRef(c, string())
+        case EType.TList(e) =>
+          expect('[')
+          val xs = Vector.newBuilder[Value]
+          items(']')(xs += typed(e))
+          Value.VList(e, xs.result())
+        case _ => fail(s"expected a tagged ${t.render}")
+      }
+
+    /** An object whose value under key `k` is read by `read(k)`. */
+    def obj(read: String => Value): Map[String, Value] = {
       expect('{')
       val b = Map.newBuilder[String, Value]
       items('}') {
         val k = string()
         expect(':')
-        b += k -> value()
+        b += k -> read(k)
       }
       b.result()
     }
+
+    def env(): Map[String, Value] = obj(_ => value())
   }
 
   // ------------------------------------------------------------ entry points
@@ -316,4 +365,24 @@ object Codec {
   def encodeEnv(env: Map[String, Value]): String = { val sb = new StringBuilder; writeEnv(env, sb); sb.toString }
 
   def decodeEnv(s: String): Map[String, Value] = { val r = new Reader(s); val e = r.env(); r.end(); e }
+
+  /** Encode an entity's field map under class `cd`'s declared field types
+    * (the typed state format above). Canonical like [[encodeEnv]]. */
+  def encodeState(cd: Ast.ClassDef, fields: Map[String, Value]): String = {
+    val sb = new StringBuilder
+    writeObject(fields, sb) { (k, v) =>
+      cd.fieldTypes.get(k) match {
+        case Some(t) => writeTyped(t, v, sb)
+        case None    => writeValue(v, sb)
+      }
+    }
+    sb.toString
+  }
+
+  def decodeState(cd: Ast.ClassDef, s: String): Map[String, Value] = {
+    val r = new Reader(s)
+    val st = r.obj(k => cd.fieldTypes.get(k).fold(r.value())(r.typed))
+    r.end()
+    st
+  }
 }

@@ -24,9 +24,10 @@ object Compiler {
     val info = TypeChecker.checkOrThrow(program)
     val operators = program.classes.map { cd =>
       val methods: Map[String, CompiledMethod] = cd.methods.map { fd =>
+        val writes = info.writes((cd.name, fd.name))
         val compiled: CompiledMethod =
-          if (info.remoteFree((cd.name, fd.name))) InlineMethod(cd.name, fd)
-          else SplitMethod(Splitter.split(cd.name, Anf.normalize(fd)))
+          if (info.remoteFree((cd.name, fd.name))) InlineMethod(cd.name, fd)(writes)
+          else SplitMethod(Splitter.split(cd.name, Anf.normalize(fd)))(writes)
         fd.name -> compiled
       }.toMap
       cd.name -> OperatorDef(cd, methods)

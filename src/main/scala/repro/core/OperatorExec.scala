@@ -31,17 +31,22 @@ object OperatorExec {
   val EntryBlock: Int = -1
 
   /** Result of processing one event at one operator: the entity's updated
-    * field state and exactly one output event (the next hop or the reply). */
-  final case class StepResult(fields: Map[String, Value], out: Event)
+    * field state and exactly one output event (the next hop or the reply).
+    * `changed` is false only when the hop ran a method with an empty write
+    * set on an entity that was already materialized: `fields` is then the
+    * input map itself, and a runtime need not store it back. */
+  final case class StepResult(fields: Map[String, Value], out: Event, changed: Boolean)
 
   /** One event at its operator, ready to run: the routed method, the
     * entity's field map and the call's variable map. [[enter]] builds it;
-    * [[resume]] runs it. */
+    * [[resume]] runs it. `stored` is the field map the hop started from
+    * (None = not yet materialized). */
   final case class Activation(
       graph: DataflowGraph,
       ev: Invoke,
       cd: Ast.ClassDef,
       method: CompiledMethod,
+      stored: Option[Map[String, Value]],
       fields: mutable.Map[String, Value],
       vars: mutable.Map[String, Value],
   )
@@ -58,14 +63,18 @@ object OperatorExec {
     val op = graph.operator(ev.target.clazz)
     val fields = mutable.Map.empty[String, Value]
     fields ++= fields0.getOrElse(op.initialState(ev.target.key))
-    Activation(graph, ev, op.cd, op.method(ev.method), fields,
+    Activation(graph, ev, op.cd, op.method(ev.method), fields0, fields,
                mutable.Map.empty[String, Value] ++ ev.env)
   }
 
   /** The application's part of a hop: execute blocks until the next
     * suspension point and build the output event. */
   def resume(act: Activation): StepResult = {
-    val Activation(graph, ev, cd, method, fields, vars) = act
+    val Activation(graph, ev, cd, method, stored, fields, vars) = act
+    def result(out: Event): StepResult = stored match {
+      case Some(st) if method.writes.isEmpty => StepResult(st, out, changed = false)
+      case _                                 => StepResult(fields.toMap, out, changed = true)
+    }
     method match {
       case InlineMethod(_, fd) =>
         require(ev.block == EntryBlock,
@@ -74,7 +83,7 @@ object OperatorExec {
           case Eval.Returned(v) => v
           case Eval.FellThrough => Value.VUnit
         }
-        StepResult(fields.toMap, finish(ev, ret))
+        result(finish(ev, ret))
 
       case SplitMethod(sm) =>
         var cur = if (ev.block == EntryBlock) sm.entry else ev.block
@@ -96,10 +105,10 @@ object OperatorExec {
               val frame = Frame(ev.target, ev.method, cont, vars.toMap, resultVar)
               val out = Invoke(ev.requestId, ev.seq + 1, EntityAddr(ref.clazz, ref.key),
                                m, EntryBlock, calleeEnv, frame :: ev.stack)
-              return StepResult(fields.toMap, out)
+              return result(out)
             case Ret(v) =>
               val ret = Eval.expr(v, vars, fields, cd, Eval.noRemote)
-              return StepResult(fields.toMap, finish(ev, ret))
+              return result(finish(ev, ret))
           }
         }
         throw new IllegalStateException("unreachable")

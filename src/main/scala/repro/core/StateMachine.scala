@@ -141,16 +141,20 @@ object StateMachine {
 
   /** How a method is executed by an operator: either inline (no remote
     * calls — the straightforward case of §2.3's opening) or via its split
-    * state machine. */
+    * state machine. `writes` is the method's write set as the checker
+    * computed it (`TypeChecker.TypeInfo.writes`); it sits in a second
+    * parameter list, so a match on a method's code does not name it. */
   sealed trait CompiledMethod {
     def name: String
     def params: List[(String, EType)]
+    def writes: Set[String]
   }
-  final case class InlineMethod(clazz: String, fd: FunctionDef) extends CompiledMethod {
+  final case class InlineMethod(clazz: String, fd: FunctionDef)(val writes: Set[String])
+      extends CompiledMethod {
     def name: String = fd.name
     def params: List[(String, EType)] = fd.params
   }
-  final case class SplitMethod(sm: SplitFunction) extends CompiledMethod {
+  final case class SplitMethod(sm: SplitFunction)(val writes: Set[String]) extends CompiledMethod {
     def name: String = sm.name
     def params: List[(String, EType)] = sm.params
   }

@@ -24,11 +24,14 @@ object TypeChecker {
     * method) that contain no remote calls, directly or via self-calls —
     * exactly the methods that do NOT need splitting. `callEdges` are the
     * statically-discovered remote call sites as (fromClass, fromMethod,
-    * toClass, toMethod) — §2.2's function call graph. */
+    * toClass, toMethod) — §2.2's function call graph. `writes` is each
+    * method's write set: the fields it assigns, directly or through `self`
+    * calls; a method whose set is empty never changes its entity's state. */
   final case class TypeInfo(
       remoteFree: Set[(String, String)],
       methodRemoteCallCount: Map[(String, String), Int],
       callEdges: List[(String, String, String, String)],
+      writes: Map[(String, String), Set[String]],
   )
 
   final case class TypeError(where: String, msg: String) {
@@ -85,6 +88,23 @@ object TypeChecker {
       }
     }
 
+    // A method writes the fields it assigns and those of every method it
+    // calls on self (fixpoint, as for remote-freedom).
+    var writes: Map[(String, String), Set[String]] = (for {
+      cd <- program.classes; fd <- cd.methods
+    } yield (cd.name, fd.name) -> fieldWrites(fd.body)).toMap
+    changed = true
+    while (changed) {
+      changed = false
+      writes.foreach { case (k @ (c, _), ws) =>
+        val ws1 = ws ++ selfCallees(k).flatMap(m => writes.getOrElse((c, m), Set.empty))
+        if (ws1 != ws) {
+          writes += k -> ws1
+          changed = true
+        }
+      }
+    }
+
     val edges = mutable.ListBuffer.empty[(String, String, String, String)]
     program.classes.foreach { cd =>
       cd.methods.foreach { fd =>
@@ -93,7 +113,7 @@ object TypeChecker {
     }
 
     if (errs.nonEmpty) Left(errs.toList)
-    else Right(TypeInfo(remoteFree, directRemote, edges.toList.distinct))
+    else Right(TypeInfo(remoteFree, directRemote, edges.toList.distinct, writes))
   }
 
   /** Throwing convenience for tests and the compiler pipeline. */
@@ -115,6 +135,15 @@ object TypeChecker {
   private def collectSelfCalls(b: List[Stmt]): Set[String] =
     bodyExprs(b).flatMap(subExprs).collect { case SelfCall(m, _) => m }.toSet
 
+  /** Fields assigned anywhere in `b`, including nested bodies. */
+  private def fieldWrites(b: List[Stmt]): Set[String] = b.flatMap {
+    case SetField(n, _)       => List(n)
+    case If(_, t, e)          => fieldWrites(t) ++ fieldWrites(e)
+    case ForEach(_, _, _, bd) => fieldWrites(bd)
+    case While(_, bd)         => fieldWrites(bd)
+    case _                    => Nil
+  }.toSet
+
   // -------------------------------------------------------- method checking
 
   private def checkMethod(
@@ -133,7 +162,7 @@ object TypeChecker {
     def err(msg: String): Unit = errs += TypeError(where, msg)
 
     def infer(e: Expr): Option[EType] = e match {
-      case Const(v)    => Some(v.tpe)
+      case Const(v)    => checkConst(v); Some(v.tpe)
       case Var(n)      => vars.get(n).orElse { err(s"use of undeclared variable $n"); None }
       case FieldGet(n) =>
         cd.fields.find(_.name == n).map(_.tpe).orElse { err(s"unknown field self.$n"); None }
@@ -209,6 +238,16 @@ object TypeChecker {
             checkArgs(s"self.$m", md.params, as.map(infer), err)
             Some(md.returnType)
         }
+    }
+
+    // A list constant carries its element type: every element, at any
+    // depth, must match it.
+    def checkConst(v: Value): Unit = v match {
+      case Value.VList(t, xs) => xs.foreach { x =>
+        if (!typesMatch(t, x.tpe)) err(s"list element ${x.tpe.render} in List[${t.render}]")
+        checkConst(x)
+      }
+      case _ => ()
     }
 
     def checkArgs(what: String, params: List[(String, EType)], args: List[Option[EType]],

@@ -13,9 +13,13 @@ import repro.core.Dataflow.DataflowGraph
   * to the ingress router until an event has been processed in full."
   *
   * Concretely: one [[invocation]] = load the target entity's state from the
-  * external KV store, run [[OperatorExec.step]] (which executes blocks up
-  * to the next suspension), store the state back, and hand the output event
-  * to the egress. Cross-entity hops therefore become *new invocations*
+  * external KV store (one get), run [[OperatorExec.step]] (which executes
+  * blocks up to the next suspension), store the state back (one put) if
+  * the hop may have changed it, and hand the output event to the egress.
+  * A hop whose method has an empty write set, on an entity already stored,
+  * puts nothing, so read-only hops never write stale state back over a
+  * concurrent writer's. State is stored in the typed state text
+  * ([[Codec.encodeState]]). Cross-entity hops become *new invocations*
   * through the ingress loop, and state consistency depends entirely on the
   * KV store: without locking (the paper's setting) concurrent
   * read-modify-write invocations of the same entity can lose updates —
@@ -29,17 +33,22 @@ final class FaasRuntime(graph: DataflowGraph, val kv: SimKV = new SimKV()) {
 
   private def stateKey(addr: EntityAddr): String = addr.routingKey
 
-  def seed(clazz: String, key: String, fields: Map[String, Value]): Unit =
-    kv.put(stateKey(EntityAddr(clazz, key)), Codec.encodeEnv(snapshot(clazz, key) ++ fields))
+  private def classDef(clazz: String): Ast.ClassDef = graph.operator(clazz).cd
 
-  /** One Lambda invocation: state load → block execution → state store; the
-    * output event goes to the egress. */
+  def seed(clazz: String, key: String, fields: Map[String, Value]): Unit =
+    kv.put(stateKey(EntityAddr(clazz, key)),
+           Codec.encodeState(classDef(clazz), snapshot(clazz, key) ++ fields))
+
+  /** One Lambda invocation: state load → block execution → state store,
+    * skipped when the hop changed nothing; the output event goes to the
+    * egress. */
   private def invocation(ev: Invoke): Either[Invoke, (String, Value)] = {
     invocations.incrementAndGet()
-    OperatorExec.egress(kv.withKeyLock(stateKey(ev.target)) {
-      val st0 = kv.get(stateKey(ev.target)).map(Codec.decodeEnv)
-      val res = OperatorExec.step(graph, st0, ev)
-      kv.put(stateKey(ev.target), Codec.encodeEnv(res.fields))
+    val key = stateKey(ev.target)
+    val cd = classDef(ev.target.clazz)
+    OperatorExec.egress(kv.withKeyLock(key) {
+      val res = OperatorExec.step(graph, kv.get(key).map(Codec.decodeState(cd, _)), ev)
+      if (res.changed) kv.put(key, Codec.encodeState(cd, res.fields))
       res.out
     })
   }
@@ -76,6 +85,6 @@ final class FaasRuntime(graph: DataflowGraph, val kv: SimKV = new SimKV()) {
   }
 
   def snapshot(clazz: String, key: String): Map[String, Value] =
-    kv.get(stateKey(EntityAddr(clazz, key))).map(Codec.decodeEnv)
+    kv.get(stateKey(EntityAddr(clazz, key))).map(Codec.decodeState(classDef(clazz), _))
       .getOrElse(graph.operator(clazz).initialState(key))
 }

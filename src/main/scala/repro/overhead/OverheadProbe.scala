@@ -17,12 +17,12 @@ import repro.faas.SimKV
   *
   *  - event decode (`Events.decode`) — runtime (the engine's serializers:
   *    Kafka/Flink deserialize events before user code runs);
-  *  - state read (`SimKV.get`) and decode (`Codec.decodeEnv`) — runtime;
+  *  - state read (`SimKV.get`) and decode (`Codec.decodeState`) — runtime;
   *  - routing and object construction (`OperatorExec.enter`) — **StateFlow**
   *    ("some of the components, like object construction, are attributed to
   *    StateFlow's overhead");
   *  - block execution (`OperatorExec.resume`) — application;
-  *  - state encode (`Codec.encodeEnv`) and write (`SimKV.put`) — runtime
+  *  - state encode (`Codec.encodeState`) and write (`SimKV.put`) — runtime
   *    ("others, like state storage, are attributed to the runtime").
   *
   * The paper's claim to reproduce: StateFlow's share of total per-event
@@ -31,7 +31,8 @@ import repro.faas.SimKV
 object OverheadProbe {
 
   /** Synthetic entity: a big opaque payload plus a counter the function
-    * touches, so execution does real (small) work while state dominates. */
+    * writes, so execution does real (small) work while state dominates, and
+    * every event re-encodes the whole state, as in the paper's setup. */
   val program: Program = Program(List(ClassDef(
     name = "Blob",
     keyField = "id",
@@ -83,8 +84,9 @@ object OverheadProbe {
     val graph = Compiler.compile(program)
     val addr = EntityAddr("Blob", "b1")
     val kv = new SimKV(latencyNanos = storePenaltyNs / 2)
-    kv.put(addr.routingKey, Codec.encodeEnv(
-      graph.operator("Blob").initialState("b1") + ("payload" -> str("x" * (stateKb * 1024)))))
+    val cd = graph.operator("Blob").cd
+    kv.put(addr.routingKey, Codec.encodeState(cd,
+      cd.initialState("b1") + ("payload" -> str("x" * (stateKb * 1024)))))
     val eventJson = Events.encode(OperatorExec.initialEvent(graph, "r1", addr, "bump", List(int(1))))
 
     var tHeader, tDecode, tEnter, tExec, tEncode, tStore = 0.0
@@ -101,10 +103,10 @@ object OverheadProbe {
       measure = i >= 0
       val ev = timed(Events.decode(eventJson).asInstanceOf[Invoke])(tHeader += _)
       val stored = timed(kv.get(addr.routingKey).get)(tStore += _)
-      val fields = timed(Codec.decodeEnv(stored))(tDecode += _)
+      val fields = timed(Codec.decodeState(cd, stored))(tDecode += _)
       val act = timed(OperatorExec.enter(graph, Some(fields), ev))(tEnter += _)
       val res = timed(OperatorExec.resume(act))(tExec += _)
-      val encoded = timed(Codec.encodeEnv(res.fields))(tEncode += _)
+      val encoded = timed(Codec.encodeState(cd, res.fields))(tEncode += _)
       timed(kv.put(addr.routingKey, encoded))(tStore += _)
       lastReply = res.out.asInstanceOf[Reply].value
     }

@@ -58,11 +58,12 @@ final class LocalRuntime(val graph: DataflowGraph) {
     replies
   }
 
-  /** One event at its entity: record the hop, step, store the state. */
+  /** One event at its entity: record the hop, step, store the state if
+    * the hop changed it. */
   private def hop(ev: Invoke): Either[Invoke, (String, Value)] = {
     traces.updateWith(ev.requestId)(t => Some(t.getOrElse(Vector.empty) :+ ev.target))
     val res = OperatorExec.step(graph, state.get(ev.target), ev)
-    state(ev.target) = res.fields
+    if (res.changed) state(ev.target) = res.fields
     OperatorExec.egress(res.out)
   }
 

@@ -47,7 +47,9 @@ object EntityOp {
 
   /** Fold `packets` over the entity state serialized in `state0`; returns
     * the new serialized state (if the entity materialized) and the emitted
-    * event rows. */
+    * event rows. When no packet may have changed the state (only hops of
+    * methods with an empty write set, on a materialized entity), the state
+    * returned is `state0` itself, not re-encoded. */
   def processKey(
       graph: DataflowGraph,
       routingKey: String,
@@ -56,16 +58,19 @@ object EntityOp {
   ): (Option[String], Seq[OutRow]) = {
     val addr = EntityAddr.fromRoutingKey(routingKey)
     var fields: Option[Map[String, Value]] = state0.map(Codec.decodeEnv)
+    var changed = false
     val outs = Seq.newBuilder[OutRow]
     packets.sortBy(sortKey).foreach { p =>
       p.kind match {
         case KindSeed =>
           val base = fields.getOrElse(graph.operator(addr.clazz).initialState(addr.key))
           fields = Some(base ++ Codec.decodeEnv(p.body))
+          changed = true
         case KindEvent =>
           val ev = Events.decode(p.body).asInstanceOf[Invoke]
           val res = OperatorExec.step(graph, fields, ev)
           fields = Some(res.fields)
+          changed ||= res.changed
           res.out match {
             case next: Invoke =>
               outs += OutRow(TagEvent, next.target.routingKey, next.requestId, next.seq,
@@ -77,7 +82,7 @@ object EntityOp {
           throw new IllegalArgumentException(s"unknown packet kind $other")
       }
     }
-    (fields.map(Codec.encodeEnv), outs.result())
+    (if (changed) fields.map(Codec.encodeEnv) else state0, outs.result())
   }
 
   /** An emitted event row as [[OperatorExec.reenter]] takes it: a hop that

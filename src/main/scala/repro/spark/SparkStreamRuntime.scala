@@ -54,7 +54,7 @@ final class SparkStreamRuntime(spark: SparkSession, graph: DataflowGraph) {
         (key: String, packets: Iterator[PacketRow], state: GroupState[String]) =>
           val st0 = if (state.exists) Some(state.get) else None
           val (st1, outs) = processKey(g, key, st0, packets.toSeq)
-          st1.foreach(state.update)
+          if (st1 != st0) st1.foreach(state.update) // unchanged state is not re-stored
           outs.iterator
       }
       .writeStream

@@ -167,6 +167,93 @@ class CodecSpec extends SparkSpec with PropSupport {
       .foreach(s => withClue(s)(intercept[IllegalArgumentException](Codec.decodeValue(s))))
   }
 
+  // ------------------------------------------------------------ typed state
+
+  /** Every `EType`, nested lists and the compiler-internal `TInfer`
+    * included. */
+  val genFieldType: Gen[EType] =
+    Gen.frequency(4 -> genType, 1 -> genType.map(EType.TList.apply), 1 -> Gen.const(EType.TInfer))
+
+  /** A value stored in a field declared `t`: mostly one of exactly that
+    * type, else one the tagged form must carry: an int widened into a
+    * float (alone or as a list element), a `VUnit` default, or a value of
+    * any other type (another list element type, another ref class). */
+  def genFieldValue(t: EType): Gen[Value] = {
+    val widened: Gen[Value] = t match {
+      case EType.TDouble => Gen.long.map(VInt.apply)
+      case EType.TList(EType.TDouble) =>
+        Gen.listOfN(3, Gen.oneOf(Gen.long.map(VInt.apply), genValueOf(EType.TDouble)))
+          .map(xs => VList(EType.TDouble, xs.toVector))
+      case _ => genValueOf(t)
+    }
+    Gen.frequency(4 -> genValueOf(t), 1 -> widened, 1 -> Gen.const(VUnit), 1 -> genValue)
+  }
+
+  /** A class of arbitrary field types and a state for it, with one key the
+    * class does not declare. */
+  val genState: Gen[(Ast.ClassDef, Map[String, Value])] = for {
+    names <- Gen.listOfN(5, genStr).map(_.distinct)
+    types <- Gen.listOfN(names.size, genFieldType)
+    values <- Gen.sequence[List[Value], Value](types.map(genFieldValue))
+    extra <- Gen.zip(genStr, genValue)
+  } yield {
+    val cd = Ast.ClassDef("C", "id", names.zip(types).map { case (n, t) => Ast.FieldDef(n, t, Value.default(t)) }, Nil)
+    (cd, Map(extra) ++ names.zip(values))
+  }
+
+  test("property: typed state round-trips over every field type, exact or not") {
+    checkProp(Prop.forAll(genState) { case (cd, st) =>
+      val s = Codec.encodeState(cd, st)
+      Codec.decodeState(cd, s) == st && Codec.encodeState(cd, Codec.decodeState(cd, s)) == s
+    })
+  }
+
+  import repro.deathstar.HotelApp
+
+  val goldenHotel: Map[String, Value] = HotelApp.hotel.initialState("h-1-0") ++ Map(
+    "reserved" -> int(2), "rate" -> dbl(4.5), "profile" -> str("profile-of-h-1-0"))
+  val goldenHotelText: String =
+    "{\"capacity\":10,\"hotel_id\":\"h-1-0\",\"price\":100,\"profile\":\"profile-of-h-1-0\"," +
+    "\"rate\":\"4.5\",\"reserved\":2}"
+
+  val goldenUser: Map[String, Value] = HotelApp.user.initialState("u-0") ++ Map(
+    "password" -> str("pw-0"),
+    "reservations" -> list(EType.TRef("Hotel"), ref("Hotel", "h-1-0"), ref("Hotel", "h-0-3")))
+  val goldenUserText: String =
+    "{\"password\":\"pw-0\",\"reservations\":[\"h-1-0\",\"h-0-3\"],\"username\":\"u-0\"}"
+
+  test("golden: Hotel and User state encode to fixed typed text") {
+    assert(Codec.encodeState(HotelApp.hotel, goldenHotel) == goldenHotelText)
+    assert(Codec.decodeState(HotelApp.hotel, goldenHotelText) == goldenHotel)
+    assert(Codec.encodeState(HotelApp.user, goldenUser) == goldenUserText)
+    assert(Codec.decodeState(HotelApp.user, goldenUserText) == goldenUser)
+    // Not exactly the declared type: written tagged.
+    val widened = goldenHotel + ("rate" -> int(4)) + ("price" -> VUnit)
+    val widenedText = goldenHotelText.replace("\"price\":100", "\"price\":{\"t\":\"u\"}")
+      .replace("\"rate\":\"4.5\"", "\"rate\":{\"t\":\"i\",\"v\":4}")
+    assert(Codec.encodeState(HotelApp.hotel, widened) == widenedText)
+    assert(Codec.decodeState(HotelApp.hotel, widenedText) == widened)
+  }
+
+  test("malformed typed state fails with IllegalArgumentException") {
+    val bad = List(
+      goldenHotelText.dropRight(1),                      // truncated
+      goldenHotelText.take(goldenHotelText.length / 2),
+      "",
+      goldenHotelText + " ",                             // trailing characters
+      "{\"capacity\":\"10\"}",                           // a string where an int belongs
+      "{\"capacity\":true}",
+      "{\"reserved\":1.5}",
+      "{\"rate\":4.5}",                                  // a float is quoted
+      "{\"hotel_id\":h}",
+      "{\"nope\":1}",                                    // undeclared fields are tagged
+      "{\"capacity\":{\"t\":\"q\"}}",                    // bad tagged value
+    )
+    bad.foreach(s => withClue(s)(intercept[IllegalArgumentException](Codec.decodeState(HotelApp.hotel, s))))
+    List("{\"reservations\":\"h-1-0\"}", "{\"reservations\":[\"h-1-0\",]}", "{\"reservations\":[1]}")
+      .foreach(s => withClue(s)(intercept[IllegalArgumentException](Codec.decodeState(HotelApp.user, s))))
+  }
+
   // ------------------------------------------------------------ events
 
   import Events._

@@ -61,6 +61,19 @@ class CompilerSpec extends SparkSpec {
     assert(user.method("get_balance").isInstanceOf[InlineMethod])
   }
 
+  test("each compiled method carries its write set") {
+    assert(graph.operator("Item").method("remove_stock").writes == Set("stock"))
+    assert(graph.operator("Item").method("get_price").writes.isEmpty)
+    assert(graph.operator("User").method("checkout").writes == Set("balance"))
+    assert(graph.operator("User").method("get_balance").writes.isEmpty)
+  }
+
+  test("HotelApp's writers are exactly the five methods that assign a field") {
+    val hotel = Compiler.compile(repro.deathstar.HotelApp.program)
+    val writers = hotel.operators.values.flatMap(_.methods.values).filter(_.writes.nonEmpty).map(_.name)
+    assert(writers.toSet == Set("reserve_room", "add_hotel", "set_index", "set_profiles", "add_reservation"))
+  }
+
   test("call edges form the User -> Item topology") {
     val callPairs = graph.edges.map(e => (e.from, e.to)).distinct
     assert(callPairs == List(("User", "Item")))

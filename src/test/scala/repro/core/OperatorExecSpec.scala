@@ -125,6 +125,18 @@ class OperatorExecSpec extends SparkSpec {
     assert(st("stock") == int(5), "input snapshot must not be mutated")
   }
 
+  test("a hop of a method with an empty write set hands back its input state, unchanged") {
+    val st = graph.operator("Item").initialState("i1") ++ Map("stock" -> int(5), "price" -> int(2))
+    val read = step(graph, Some(st), invokeEv("Item", "i1", "get_price", Nil))
+    assert(read.out == Reply("r1", int(2)))
+    assert(!read.changed)
+    assert(read.fields eq st)
+    assert(step(graph, None, invokeEv("Item", "i1", "get_price", Nil)).changed,
+      "a fresh entity materializes: its state changed")
+    val write = step(graph, Some(st), invokeEv("Item", "i1", "remove_stock", List(int(1))))
+    assert(write.changed && write.fields("stock") == int(4))
+  }
+
   test("remote self-call routes through the dataflow like any other call") {
     // A method calling a ref to its own entity still suspends (the paper
     // routes every entity call through the dataflow).

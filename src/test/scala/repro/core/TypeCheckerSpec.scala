@@ -263,6 +263,46 @@ class TypeCheckerSpec extends SparkSpec {
     assert(errorsOf(p).exists(_.contains("default is str")))
   }
 
+  test("a list constant's elements are checked against its element type, at any depth") {
+    def errs(v: Value): List[String] = errorsOf(Program(List(cls("A", List(
+      FunctionDef("m", Nil, TUnit, List(Assign("x", v.tpe, Const(v)))))))))
+    assert(errs(VList(TInt, Vector(str("a")))).exists(_.contains("list element str in List[int]")))
+    assert(errs(VList(TList(TInt), Vector(VList(TInt, Vector(int(1), bool(true))))))
+      .exists(_.contains("list element bool in List[int]")))
+    assert(errs(VList(TList(TInt), Vector(VList(TStr, Vector.empty))))
+      .exists(_.contains("list element List[str] in List[List[int]]")))
+    assert(errs(VList(TDouble, Vector(int(1), dbl(0.5)))).isEmpty, "an int element widens")
+  }
+
+  test("write sets: a field assigned in one if branch only makes a writer") {
+    val p = Program(List(cls("A", List(
+      FunctionDef("maybe", List("b" -> TBool), TUnit, List(
+        If(Var("b"), List(SetField("n", Const(int(1)))), Nil))),
+      FunctionDef("loop", Nil, TUnit, List(
+        While(Const(bool(false)), List(SetField("m", Const(int(1))))))),
+      FunctionDef("read", Nil, TInt, List(Return(FieldGet("n")))),
+    ), fields = List(FieldDef("n", TInt, int(0)), FieldDef("m", TInt, int(0))))))
+    val info = TypeChecker.checkOrThrow(p)
+    assert(info.writes(("A", "maybe")) == Set("n"))
+    assert(info.writes(("A", "loop")) == Set("m"))
+    assert(info.writes(("A", "read")).isEmpty)
+  }
+
+  test("write sets: a method that writes only through self calls is a writer") {
+    // outer -> mid -> set: only set assigns a field.
+    val p = Program(List(cls("A", List(
+      FunctionDef("outer", Nil, TInt, List(ExprStmt(SelfCall("mid", Nil)), Return(FieldGet("n")))),
+      FunctionDef("mid", Nil, TUnit, List(ExprStmt(SelfCall("set", Nil)))),
+      FunctionDef("set", Nil, TUnit, List(SetField("n", Const(int(1))))),
+      FunctionDef("get", Nil, TInt, List(Return(FieldGet("n")))),
+      FunctionDef("viaGet", Nil, TInt, List(Return(SelfCall("get", Nil)))),
+    ), fields = List(FieldDef("n", TInt, int(0))))))
+    val info = TypeChecker.checkOrThrow(p)
+    assert(info.writes(("A", "outer")) == Set("n"))
+    assert(info.writes(("A", "mid")) == Set("n"))
+    assert(info.writes(("A", "viaGet")).isEmpty)
+  }
+
   test("checkOrThrow throws with all diagnostics") {
     val p = Program(List(cls("A", List(
       FunctionDef("m", Nil, TInt, List(Return(Var("ghost")))),

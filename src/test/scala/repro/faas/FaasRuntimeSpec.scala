@@ -76,14 +76,46 @@ class FaasRuntimeSpec extends SparkSpec {
     assert(fr.snapshot("Hotel", "big")("reserved") == int(n))
   }
 
-  test("store telemetry: one get and one put per invocation") {
+  test("store telemetry: one get per hop, and a put only when it may write") {
     val kv = new SimKV()
     val fr = new FaasRuntime(shopGraph, kv)
     fr.seed("Item", "a", Map("price" -> int(2), "stock" -> int(5)))
-    val (g0, p0) = (kv.gets.get(), kv.puts.get())
-    fr.invoke("Item", "a", "get_price", Nil)
-    assert(kv.gets.get() - g0 == 1)
-    assert(kv.puts.get() - p0 == 1)
+    def ops(body: => Unit): (Long, Long) = {
+      val (g0, p0) = (kv.gets.get(), kv.puts.get())
+      body
+      (kv.gets.get() - g0, kv.puts.get() - p0)
+    }
+    assert(ops(fr.invoke("Item", "a", "get_price", Nil)) == ((1L, 0L)), "read-only call")
+    assert(ops(fr.invoke("Item", "a", "remove_stock", List(int(1)))) == ((1L, 1L)), "writing call")
+    // A read-only call on an entity never stored still stores it.
+    assert(ops(fr.invoke("Item", "b", "get_price", Nil)) == ((1L, 1L)), "read-only call, fresh entity")
+    assert(kv.snapshot.keySet == Set("Item|a", "Item|b"))
+  }
+
+  test("read-only hops never clobber a writer") {
+    // Without locks, a read-only hop that wrote back the state it read would
+    // overwrite a reserve made in between.
+    val kv = new SimKV(latencyNanos = 50_000, withLocks = false)
+    val fr = new FaasRuntime(hotelGraph, kv)
+    fr.seed("Hotel", "h", Map("capacity" -> int(1000000)))
+    val n = 200
+    val stop = new java.util.concurrent.atomic.AtomicBoolean(false)
+    val reads = new java.util.concurrent.atomic.AtomicLong(0)
+    val readers = (1 to 4).map { _ =>
+      new Thread(() => while (!stop.get()) {
+        fr.invoke("Hotel", "h", "check_availability", List(int(1), int(2)))
+        reads.incrementAndGet()
+      })
+    }
+    readers.foreach(_.start())
+    try (1 to n).foreach { _ =>
+      assert(fr.invoke("Hotel", "h", "reserve_room", List(int(1), int(2))) == bool(true))
+    } finally {
+      stop.set(true)
+      readers.foreach(_.join())
+    }
+    assert(reads.get() > 0)
+    assert(fr.snapshot("Hotel", "h")("reserved") == int(n))
   }
 
   test("uninitialized entity materializes from defaults") {

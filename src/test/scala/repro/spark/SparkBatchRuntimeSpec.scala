@@ -25,6 +25,20 @@ class SparkBatchRuntimeSpec extends SparkSpec {
       OperatorExec.initialEvent(graph, f"r$i%09d", EntityAddr(c, k), m, a)
     }
 
+  test("processKey hands back its input state text when no packet changed the state") {
+    def ev(rid: String, key: String, method: String, args: List[Value]): EntityOp.PacketRow =
+      EntityOp.eventPacket(OperatorExec.initialEvent(shopGraph, rid, EntityAddr("Item", key), method, args))
+    val st = Codec.encodeEnv(shopGraph.operator("Item").initialState("a") ++ Map("price" -> int(2)))
+    val (read, outs) = EntityOp.processKey(shopGraph, "Item|a", Some(st), Seq(ev("r1", "a", "get_price", Nil)))
+    assert(read.exists(_ eq st), "a read-only fold is not re-encoded")
+    assert(outs.map(_.body) == Seq(Codec.encodeValue(int(2))))
+    val (written, _) = EntityOp.processKey(shopGraph, "Item|a", Some(st),
+      Seq(ev("r1", "a", "get_price", Nil), ev("r2", "a", "restock", List(int(3)))))
+    assert(written.map(Codec.decodeEnv(_)("stock")) == Some(int(3)))
+    val (fresh, _) = EntityOp.processKey(shopGraph, "Item|b", None, Seq(ev("r3", "b", "get_price", Nil)))
+    assert(fresh.map(Codec.decodeEnv) == Some(shopGraph.operator("Item").initialState("b")))
+  }
+
   test("single inline invocation: seed, invoke, reply") {
     val rt = new SparkBatchRuntime(spark, shopGraph)
     val res = rt.run(
