@@ -16,10 +16,20 @@ object Ast {
   sealed trait Expr
   /** Literal constant. */
   final case class Const(v: Value) extends Expr
+  /** A node that names a variable or field and that [[Resolve]] binds to
+    * its slot: an index into the method's variable layout or the class's
+    * field layout. The resolve pass sets `slot` on the fresh nodes it
+    * builds; it is -1 on an unresolved tree, and takes no part in equality
+    * or pattern matching. The same holds for `Builtin.entry` and
+    * `SelfCall.callee`. */
+  sealed trait Slotted {
+    private[core] var slot: Int = -1
+  }
+
   /** Local variable read. */
-  final case class Var(name: String) extends Expr
+  final case class Var(name: String) extends Expr with Slotted
   /** `self.<name>` field read. */
-  final case class FieldGet(name: String) extends Expr
+  final case class FieldGet(name: String) extends Expr with Slotted
   /** Binary operator: `+ - * / % < <= > >= == != and or`. */
   final case class BinOp(op: String, l: Expr, r: Expr) extends Expr
   /** Logical negation. */
@@ -29,31 +39,37 @@ object Ast {
   /** List literal `[e1, e2, ...]` with declared element type. */
   final case class MakeList(elem: EType, items: List[Expr]) extends Expr
   /** Call of a built-in pure function; [[Builtins.table]] lists them, each
-    * with its type rule and implementation. */
-  final case class Builtin(name: String, args: List[Expr]) extends Expr
+    * with its type rule and implementation (`entry`, once resolved). */
+  final case class Builtin(name: String, args: List[Expr]) extends Expr {
+    private[core] var entry: Builtins.Entry = null
+  }
   /** Method call on an entity reference — *possibly remote* (§2.2): the
     * receiver expression must have type `TRef(c)` and the event is routed to
     * class `c`'s operator partition for the receiver's key. */
   final case class RemoteCall(target: Expr, method: String, args: List[Expr]) extends Expr
   /** Method call on `self`. Restricted to methods that are themselves free
     * of remote calls (enforced by the TypeChecker), so it executes inline
-    * inside the current operator without an event hop. */
-  final case class SelfCall(method: String, args: List[Expr]) extends Expr
+    * inside the current operator without an event hop. `callee` is the
+    * resolved target. */
+  final case class SelfCall(method: String, args: List[Expr]) extends Expr {
+    private[core] var callee: Resolve.Callee = null
+  }
 
   // ----------------------------------------------------------------- stmts
 
   sealed trait Stmt
   /** First (declaring) assignment: `x: T = e`. The paper requires declared
     * types on all variables. */
-  final case class Assign(name: String, tpe: EType, value: Expr) extends Stmt
+  final case class Assign(name: String, tpe: EType, value: Expr) extends Stmt with Slotted
   /** Re-assignment of an already-declared variable. */
-  final case class SetVar(name: String, value: Expr) extends Stmt
+  final case class SetVar(name: String, value: Expr) extends Stmt with Slotted
   /** `self.f = e`. */
-  final case class SetField(name: String, value: Expr) extends Stmt
+  final case class SetField(name: String, value: Expr) extends Stmt with Slotted
   /** `if cond: then else: els`. */
   final case class If(cond: Expr, thenB: List[Stmt], elseB: List[Stmt]) extends Stmt
   /** `for v in iterable:` — iterable must be a list (§2.1). */
-  final case class ForEach(name: String, elemType: EType, iterable: Expr, body: List[Stmt]) extends Stmt
+  final case class ForEach(name: String, elemType: EType, iterable: Expr, body: List[Stmt])
+      extends Stmt with Slotted
   /** General while loop. */
   final case class While(cond: Expr, body: List[Stmt]) extends Stmt
   /** `return e`. */
@@ -98,6 +114,18 @@ object Ast {
     val fieldTypes: Map[String, EType] = fields.map(f => f.name -> f.tpe).toMap
     /** Initial field state of a fresh entity with the given key. */
     def initialState(key: String): Map[String, Value] = defaults + (keyField -> Value.VStr(key))
+    /** The field layout: one slot per declared field, names sorted. Entity
+      * state is an array under it. */
+    val layout: Layout = Layout.of(fields.map(_.name))
+    /** Declared field types by slot. */
+    val slotTypes: Array[EType] = layout.names.map(fieldTypes)
+    private val defaultSlots: Array[Value] = layout.array(defaults)
+    /** [[initialState]] as a fresh array under [[layout]]. */
+    def initialFields(key: String): Array[Value] = {
+      val a = defaultSlots.clone()
+      a(layout.slot(keyField)) = Value.VStr(key)
+      a
+    }
     override def toString: String = s"class $name"
   }
 

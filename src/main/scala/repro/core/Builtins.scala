@@ -5,25 +5,29 @@ import Value._
 
 /** The language's built-in pure functions, each defined once: its type rule
   * over argument types next to its implementation over values.
-  * `TypeChecker` applies the rule and `Eval.builtin` runs the
-  * implementation, so a call the checker accepts runs to a value of the
-  * type it inferred. Only the *value* can still fail: `get` out of range,
+  * `TypeChecker` applies the rule and `Eval` runs the implementation (the
+  * resolve pass binds each call to its entry), so a call the checker
+  * accepts runs to a value of the type it inferred. Only the *value* can still fail: `get` out of range,
   * `int` of a non-numeral string.
   */
 object Builtins {
 
   /** One builtin. `rule` is defined on the argument types it accepts and
     * gives the result type; `impl` is defined on the argument values it
-    * implements. */
-  final class Entry(val name: String, rule: PartialFunction[List[EType], EType],
-                    impl: PartialFunction[List[Value], Value]) {
-    private val badArgs: List[Value] => Value = args =>
+    * implements. Resolved `Builtin` calls hold their entry, so it travels
+    * with a compiled graph; it is serialized by name and read back as the
+    * table's own entry. */
+  final class Entry(val name: String, @transient rule: PartialFunction[List[EType], EType],
+                    @transient impl: PartialFunction[List[Value], Value]) extends Serializable {
+    @transient private val badArgs: List[Value] => Value = args =>
       throw new IllegalArgumentException(s"builtin $name has no case for ${render(args.map(_.tpe))}")
 
     /** The result type for these argument types; None when no rule matches. */
     def resultType(args: List[EType]): Option[EType] = Option(rule.applyOrElse(args, noRule))
 
     def run(args: List[Value]): Value = impl.applyOrElse(args, badArgs)
+
+    private def readResolve(): AnyRef = table(name)
   }
 
   /** `applyOrElse` fallback of the rules: no rule matched. */

@@ -58,9 +58,15 @@ private[core] object JsonText {
     /** Fails unless the whole text was read. */
     def end(): Unit = if (!eof) fail("trailing characters")
 
+    /** A string literal. A run with no escape is returned as one substring;
+      * from the first backslash on, the escape loop builds it. */
     def string(): String = {
       expect('"')
-      val sb = new StringBuilder
+      val start = pos
+      while (pos < s.length && s.charAt(pos) != '"' && s.charAt(pos) != '\\') pos += 1
+      if (ch == '"') { pos += 1; return s.substring(start, pos - 1) }
+      val sb = new StringBuilder(pos - start + 16)
+      sb.underlying.append(s, start, pos)
       while (ch != '"') {
         if (ch == '\\') {
           pos += 1
@@ -264,17 +270,27 @@ object Codec {
     case _ => writeValue(v, sb)
   }
 
-  /** An object of `env`'s entries with its keys sorted; `write` writes the
-    * value of each. */
-  private def writeObject(env: Map[String, Value], sb: StringBuilder)(write: (String, Value) => Unit): Unit = {
-    val kvs = env.toArray
-    kvs.sortInPlaceBy(_._1)
+  /** An object of the bound slots of `env`, in slot order, which is key
+    * order; `write(i, v)` writes the value `v` of slot `i`. */
+  private def writeObject(env: Env, sb: StringBuilder)(write: (Int, Value) => Unit): Unit = {
+    val names = env.layout.names
+    val vs = env.values
     sb += '{'
-    writeAll(kvs.iterator, sb) { case (k, v) => writeString(k, sb); sb += ':'; write(k, v) }
+    var first = true
+    var i = 0
+    while (i < vs.length) {
+      val v = vs(i)
+      if (v != null) {
+        if (!first) sb += ','
+        first = false
+        writeString(names(i), sb); sb += ':'; write(i, v)
+      }
+      i += 1
+    }
     sb += '}'
   }
 
-  private[core] def writeEnv(env: Map[String, Value], sb: StringBuilder): Unit =
+  private[core] def writeEnv(env: Env, sb: StringBuilder): Unit =
     writeObject(env, sb)((_, v) => writeValue(v, sb))
 
   // ------------------------------------------------------------ reader
@@ -340,18 +356,35 @@ object Codec {
       }
 
     /** An object whose value under key `k` is read by `read(k)`. */
-    def obj(read: String => Value): Map[String, Value] = {
+    def obj(read: String => Value): Env = {
       expect('{')
-      val b = Map.newBuilder[String, Value]
+      val names = Array.newBuilder[String]
+      val values = Array.newBuilder[Value]
       items('}') {
         val k = string()
         expect(':')
-        b += k -> read(k)
+        names += k
+        values += read(k)
       }
-      b.result()
+      Env.read(names.result(), values.result())
     }
 
-    def env(): Map[String, Value] = obj(_ => value())
+    def env(): Env = obj(_ => value())
+
+    /** An object of `layout`'s names read into an array under it; `read(i)`
+      * reads the value of slot `i`. A name without a slot fails. */
+    def fields(layout: Layout)(read: Int => Value): Array[Value] = {
+      val a = new Array[Value](layout.size)
+      expect('{')
+      items('}') {
+        val k = string()
+        val i = layout.slotOf(k)
+        if (i < 0) fail(s"undeclared field $k")
+        expect(':')
+        a(i) = read(i)
+      }
+      a
+    }
   }
 
   // ------------------------------------------------------------ entry points
@@ -362,19 +395,34 @@ object Codec {
 
   /** Encode a variable environment or entity field map. Keys sorted so the
     * encoding is canonical (stable across runtimes and test re-runs). */
-  def encodeEnv(env: Map[String, Value]): String = { val sb = new StringBuilder; writeEnv(env, sb); sb.toString }
+  def encodeEnv(env: Map[String, Value]): String = encodeEnv(Env(env))
 
-  def decodeEnv(s: String): Map[String, Value] = { val r = new Reader(s); val e = r.env(); r.end(); e }
+  /** The same text for an env, or an entity's field array under its
+    * class layout. */
+  def encodeEnv(env: Env): String = { val sb = new StringBuilder; writeEnv(env, sb); sb.toString }
+
+  def decodeEnv(s: String): Map[String, Value] = readEnv(s).toMap
+
+  def readEnv(s: String): Env = { val r = new Reader(s); val e = r.env(); r.end(); e }
 
   /** Encode an entity's field map under class `cd`'s declared field types
     * (the typed state format above). Canonical like [[encodeEnv]]. */
   def encodeState(cd: Ast.ClassDef, fields: Map[String, Value]): String = {
+    val env = Env(fields)
+    val types = env.layout.names.map(cd.fieldTypes.getOrElse(_, null))
+    writeState(env, types)
+  }
+
+  /** The same text for an entity's field array under `cd`'s layout. */
+  def encodeState(cd: Ast.ClassDef, fields: Array[Value]): String =
+    writeState(new Env(cd.layout, fields), cd.slotTypes)
+
+  /** Each bound slot `i` written under `types(i)`, tagged where that is
+    * null. */
+  private def writeState(env: Env, types: Array[EType]): String = {
     val sb = new StringBuilder
-    writeObject(fields, sb) { (k, v) =>
-      cd.fieldTypes.get(k) match {
-        case Some(t) => writeTyped(t, v, sb)
-        case None    => writeValue(v, sb)
-      }
+    writeObject(env, sb) { (i, v) =>
+      if (types(i) == null) writeValue(v, sb) else writeTyped(types(i), v, sb)
     }
     sb.toString
   }
@@ -383,6 +431,15 @@ object Codec {
     val r = new Reader(s)
     val st = r.obj(k => cd.fieldTypes.get(k).fold(r.value())(r.typed))
     r.end()
-    st
+    st.toMap
+  }
+
+  /** Typed state text read into an array under `cd`'s layout; a field the
+    * class does not declare fails. */
+  def decodeFields(cd: Ast.ClassDef, s: String): Array[Value] = {
+    val r = new Reader(s)
+    val a = r.fields(cd.layout)(i => r.typed(cd.slotTypes(i)))
+    r.end()
+    a
   }
 }

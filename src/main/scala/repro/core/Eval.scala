@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import Ast._
 
 /** Shared evaluation core: expressions and remote-free statement lists.
@@ -9,6 +8,12 @@ import Ast._
   * reference interpreter, the split-function block executor (OperatorExec),
   * and inline `self` calls all delegate here, so "split ≡ unsplit" tests
   * compare control-flow handling, not two divergent evaluators.
+  *
+  * It runs trees that [[Resolve]] has resolved to slots, over two arrays:
+  * the call's variables, under the method's variable layout, and the
+  * entity's fields, under the class's field layout. Statements write both
+  * in place. An unbound slot read throws `NoSuchElementException` naming
+  * the variable or field.
   *
   * Remote calls are *not* handled here — callers that may encounter them
   * (the reference Interpreter) pass a `remote` callback; the block executor
@@ -72,21 +77,19 @@ object Eval {
     Value.VBool(res)
   }
 
-  /** Evaluate expression `e`. `vars` and `fields` are the local variable
-    * environment and the entity's field state (mutable maps — statements
-    * update them in place). */
-  def expr(
-      e: Expr,
-      vars: mutable.Map[String, Value],
-      fields: mutable.Map[String, Value],
-      selfClass: ClassDef,
-      remote: RemoteFn,
-  ): Value = {
-    def ev(x: Expr): Value = expr(x, vars, fields, selfClass, remote)
+  /** Evaluate expression `e` over the variable and field arrays. */
+  def expr(e: Expr, vars: Array[Value], fields: Array[Value], remote: RemoteFn): Value = {
+    def ev(x: Expr): Value = expr(x, vars, fields, remote)
     e match {
       case Const(v)    => v
-      case Var(n)      => vars.getOrElse(n, throw new NoSuchElementException(s"unbound var $n"))
-      case FieldGet(n) => fields.getOrElse(n, throw new NoSuchElementException(s"unbound field $n of ${selfClass.name}"))
+      case x: Var      =>
+        val v = vars(x.slot)
+        if (v == null) throw new NoSuchElementException(s"unbound var ${x.name}")
+        v
+      case f: FieldGet =>
+        val v = fields(f.slot)
+        if (v == null) throw new NoSuchElementException(s"unbound field ${f.name}")
+        v
       case Not(x)      => Value.VBool(!ev(x).asBool)
       case Neg(x)      => ev(x) match {
         case Value.VInt(i)    => Value.VInt(-i)
@@ -104,11 +107,9 @@ object Eval {
         case (Value.VList(t, a), Value.VList(_, b)) if op == "+" => Value.VList(t, a ++ b)
         case (a, b) => numBin(op, a, b)
       }
-      case Builtin(name, args) => builtin(name, args.map(ev))
+      case b: Builtin           => b.entry.run(b.args.map(ev))
       case RemoteCall(t, m, as) => remote(ev(t).asRef, m, as.map(ev))
-      case SelfCall(m, as) =>
-        val fd = selfClass.method(m)
-        invokeLocal(fd, as.map(ev), fields, selfClass, remote)
+      case c: SelfCall          => invoke(c.callee.code, c.args.map(ev), fields, remote)
     }
   }
 
@@ -124,40 +125,34 @@ object Eval {
   case object FellThrough extends Flow
   final case class Returned(v: Value) extends Flow
 
-  /** Execute statements sequentially, mutating `vars`/`fields`. The caller
-    * is responsible for ensuring remote calls are either absent or handled
-    * by `remote`. */
-  def exec(
-      stmts: List[Stmt],
-      vars: mutable.Map[String, Value],
-      fields: mutable.Map[String, Value],
-      selfClass: ClassDef,
-      remote: RemoteFn,
-  ): Flow = {
-    def ev(e: Expr): Value = expr(e, vars, fields, selfClass, remote)
+  /** Execute statements sequentially, writing `vars`/`fields` in place. The
+    * caller is responsible for ensuring remote calls are either absent or
+    * handled by `remote`. */
+  def exec(stmts: List[Stmt], vars: Array[Value], fields: Array[Value], remote: RemoteFn): Flow = {
+    def ev(e: Expr): Value = expr(e, vars, fields, remote)
     var rest = stmts
     while (rest.nonEmpty) {
       rest.head match {
-        case Assign(n, _, v) => vars(n) = ev(v)
-        case SetVar(n, v)    => vars(n) = ev(v)
-        case SetField(n, v)  => fields(n) = ev(v)
-        case ExprStmt(e)     => ev(e)
-        case Return(v)       => return Returned(ev(v))
+        case s: Assign   => vars(s.slot) = ev(s.value)
+        case s: SetVar   => vars(s.slot) = ev(s.value)
+        case s: SetField => fields(s.slot) = ev(s.value)
+        case ExprStmt(e) => ev(e)
+        case Return(v)   => return Returned(ev(v))
         case If(c, t, f) =>
-          val flow = exec(if (ev(c).asBool) t else f, vars, fields, selfClass, remote)
+          val flow = exec(if (ev(c).asBool) t else f, vars, fields, remote)
           if (flow != FellThrough) return flow
-        case ForEach(n, _, it, body) =>
-          val items = ev(it).asList
+        case s: ForEach =>
+          val items = ev(s.iterable).asList
           var i = 0
           while (i < items.length) {
-            vars(n) = items(i)
-            val flow = exec(body, vars, fields, selfClass, remote)
+            vars(s.slot) = items(i)
+            val flow = exec(s.body, vars, fields, remote)
             if (flow != FellThrough) return flow
             i += 1
           }
         case While(c, body) =>
           while (ev(c).asBool) {
-            val flow = exec(body, vars, fields, selfClass, remote)
+            val flow = exec(body, vars, fields, remote)
             if (flow != FellThrough) return flow
           }
       }
@@ -166,20 +161,16 @@ object Eval {
     FellThrough
   }
 
-  /** Run a whole method on the given field state with fresh locals;
+  /** Run a whole method on the given field state with fresh variables;
     * returns its value (VUnit on fall-through). */
-  def invokeLocal(
-      fd: FunctionDef,
-      args: List[Value],
-      fields: mutable.Map[String, Value],
-      selfClass: ClassDef,
-      remote: RemoteFn,
-  ): Value = {
+  def invoke(code: Resolve.Code, args: List[Value], fields: Array[Value], remote: RemoteFn): Value = {
+    val fd = code.fd
     require(args.length == fd.params.length,
-      s"${selfClass.name}.${fd.name}: expected ${fd.params.length} args, got ${args.length}")
-    val vars = mutable.Map.empty[String, Value]
-    fd.params.zip(args).foreach { case ((n, _), v) => vars(n) = v }
-    exec(fd.body, vars, fields, selfClass, remote) match {
+      s"${fd.name}: expected ${fd.params.length} args, got ${args.length}")
+    val vars = new Array[Value](code.vars.size)
+    var i = 0
+    args.foreach { a => vars(code.params(i)) = a; i += 1 }
+    exec(fd.body, vars, fields, remote) match {
       case Returned(v)  => v
       case FellThrough  => Value.VUnit
     }

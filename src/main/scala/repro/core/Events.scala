@@ -32,14 +32,21 @@ object Events {
     }
   }
 
-  /** One suspended caller on the distributed call stack. */
+  /** One suspended caller on the distributed call stack. `env` is the
+    * caller's variables when it suspended, under its method's layout. */
   final case class Frame(
       caller: EntityAddr,
       method: String,
       contBlock: Int,
-      env: Map[String, Value],
+      env: Env,
       resultVar: String,
   )
+  /** Frames and events built by hand (tests, tools) may give their env as
+    * (name, value) pairs. */
+  object Frame {
+    def apply(caller: EntityAddr, method: String, contBlock: Int, env: Iterable[(String, Value)],
+              resultVar: String): Frame = Frame(caller, method, contBlock, Env(env.toMap), resultVar)
+  }
 
   sealed trait Event {
     def requestId: String
@@ -48,16 +55,23 @@ object Events {
   /** Function-invocation (or resumption) event. `block` is the state-machine
     * block to start at — the method entry for a fresh call, a continuation
     * block when a remote call's result comes back (then `env` already
-    * contains the result bound to the caller's result variable). */
+    * contains the result bound to the caller's result variable). `env` is
+    * under the target method's variable layout when a step built it, and
+    * under a layout of just its names when it was decoded. */
   final case class Invoke(
       requestId: String,
       seq: Long,
       target: EntityAddr,
       method: String,
       block: Int,
-      env: Map[String, Value],
+      env: Env,
       stack: List[Frame],
   ) extends Event
+  object Invoke {
+    def apply(requestId: String, seq: Long, target: EntityAddr, method: String, block: Int,
+              env: Iterable[(String, Value)], stack: List[Frame]): Invoke =
+      Invoke(requestId, seq, target, method, block, Env(env.toMap), stack)
+  }
 
   /** Egress event: the outermost call returned `value` to the client. */
   final case class Reply(requestId: String, value: Value) extends Event

@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import Events._
 import StateMachine._
 import Dataflow._
@@ -31,83 +30,100 @@ object OperatorExec {
   val EntryBlock: Int = -1
 
   /** Result of processing one event at one operator: the entity's updated
-    * field state and exactly one output event (the next hop or the reply).
-    * `changed` is false only when the hop ran a method with an empty write
-    * set on an entity that was already materialized: `fields` is then the
-    * input map itself, and a runtime need not store it back. */
+    * field array, under its class's layout, and exactly one output event
+    * (the next hop or the reply). `changed` is false only when the hop ran
+    * a method with an empty write set on an entity that was already
+    * materialized: `fields` is then the input array itself, untouched, and
+    * a runtime need not store it back. */
+  final case class Step(fields: Array[Value], out: Event, changed: Boolean)
+
+  /** [[Step]] with the fields as a map, for callers that hold state as
+    * maps ([[step]]). */
   final case class StepResult(fields: Map[String, Value], out: Event, changed: Boolean)
 
   /** One event at its operator, ready to run: the routed method, the
-    * entity's field map and the call's variable map. [[enter]] builds it;
-    * [[resume]] runs it. `stored` is the field map the hop started from
-    * (None = not yet materialized). */
+    * entity's field array and the call's variable array. [[enter]] builds
+    * it; [[resume]] runs it. `stored` is the field array the hop started
+    * from (None = not yet materialized). */
   final case class Activation(
       graph: DataflowGraph,
       ev: Invoke,
-      cd: Ast.ClassDef,
       method: CompiledMethod,
-      stored: Option[Map[String, Value]],
-      fields: mutable.Map[String, Value],
-      vars: mutable.Map[String, Value],
+      stored: Option[Array[Value]],
+      fields: Array[Value],
+      vars: Array[Value],
   )
 
-  /** Process `ev` against entity state `fields0` (None = entity not yet
-    * materialized; it is created from field defaults). */
-  def step(graph: DataflowGraph, fields0: Option[Map[String, Value]], ev: Invoke): StepResult =
+  /** Process `ev` against the entity's field array `fields0`, under its
+    * class's layout (None = entity not yet materialized; it is created from
+    * field defaults). Neither `fields0` nor `ev` is written. */
+  def stepFields(graph: DataflowGraph, fields0: Option[Array[Value]], ev: Invoke): Step =
     resume(enter(graph, fields0, ev))
 
+  /** [[stepFields]] over a field map: the map goes into an array under the
+    * class's layout and back out. A read-only hop hands back `fields0`
+    * itself. */
+  def step(graph: DataflowGraph, fields0: Option[Map[String, Value]], ev: Invoke): StepResult = {
+    val layout = graph.operator(ev.target.clazz).cd.layout
+    val res = stepFields(graph, fields0.map(layout.array), ev)
+    StepResult(if (res.changed) layout.toMap(res.fields) else fields0.get, res.out, res.changed)
+  }
+
   /** StateFlow's part of a hop (§4): route the event to its operator and
-    * method, and construct the entity's field map and the call's variable
-    * map ("object construction"). */
-  def enter(graph: DataflowGraph, fields0: Option[Map[String, Value]], ev: Invoke): Activation = {
+    * method, and construct the entity's fields and the call's variables
+    * ("object construction"). A read-only method reads the stored array in
+    * place; a writer gets a copy. The variables are a copy of the event's
+    * array, or, for an env under another layout (one read off the wire),
+    * its values moved to the method's slots by name. */
+  def enter(graph: DataflowGraph, fields0: Option[Array[Value]], ev: Invoke): Activation = {
     val op = graph.operator(ev.target.clazz)
-    val fields = mutable.Map.empty[String, Value]
-    fields ++= fields0.getOrElse(op.initialState(ev.target.key))
-    Activation(graph, ev, op.cd, op.method(ev.method), fields0, fields,
-               mutable.Map.empty[String, Value] ++ ev.env)
+    val method = op.method(ev.method)
+    val fields = fields0 match {
+      case Some(st) => if (method.writes.isEmpty) st else st.clone()
+      case None     => op.cd.initialFields(ev.target.key)
+    }
+    Activation(graph, ev, method, fields0, fields, method.vars.remap(ev.env))
   }
 
   /** The application's part of a hop: execute blocks until the next
     * suspension point and build the output event. */
-  def resume(act: Activation): StepResult = {
-    val Activation(graph, ev, cd, method, stored, fields, vars) = act
-    def result(out: Event): StepResult = stored match {
-      case Some(st) if method.writes.isEmpty => StepResult(st, out, changed = false)
-      case _                                 => StepResult(fields.toMap, out, changed = true)
-    }
+  def resume(act: Activation): Step = {
+    val Activation(graph, ev, method, stored, fields, vars) = act
+    def result(out: Event): Step =
+      Step(fields, out, changed = stored.isEmpty || method.writes.nonEmpty)
     method match {
-      case InlineMethod(_, fd) =>
+      case InlineMethod(_, code) =>
         require(ev.block == EntryBlock,
           s"${ev.target.clazz}.${ev.method} is inline but got continuation block ${ev.block}")
-        val ret = Eval.exec(fd.body, vars, fields, cd, Eval.noRemote) match {
+        val ret = Eval.exec(code.fd.body, vars, fields, Eval.noRemote) match {
           case Eval.Returned(v) => v
           case Eval.FellThrough => Value.VUnit
         }
         result(finish(ev, ret))
 
-      case SplitMethod(sm) =>
+      case m @ SplitMethod(sm) =>
         var cur = if (ev.block == EntryBlock) sm.entry else ev.block
         while (true) {
-          val b = sm.block(cur)
-          Eval.exec(b.stmts, vars, fields, cd, Eval.noRemote) match {
-            case Eval.Returned(v) =>
+          val b = m.blocks(cur)
+          Eval.exec(b.stmts, vars, fields, Eval.noRemote) match {
+            case Eval.Returned(_) =>
               throw new IllegalStateException(s"return inside block statements of ${sm.clazz}.${sm.name}")
             case Eval.FellThrough => ()
           }
           b.term match {
             case Goto(t) => cur = t
             case CondBr(c, t, f) =>
-              cur = if (Eval.expr(c, vars, fields, cd, Eval.noRemote).asBool) t else f
-            case CallTerm(tg, m, as, resultVar, cont) =>
-              val ref = Eval.expr(tg, vars, fields, cd, Eval.noRemote).asRef
-              val argVals = as.map(a => Eval.expr(a, vars, fields, cd, Eval.noRemote))
-              val calleeEnv = bindArgs(graph, ref.clazz, m, argVals, Some(sm))
-              val frame = Frame(ev.target, ev.method, cont, vars.toMap, resultVar)
+              cur = if (Eval.expr(c, vars, fields, Eval.noRemote).asBool) t else f
+            case CallTerm(tg, callee, as, resultVar, cont) =>
+              val ref = Eval.expr(tg, vars, fields, Eval.noRemote).asRef
+              val argVals = as.map(a => Eval.expr(a, vars, fields, Eval.noRemote))
+              val calleeEnv = bindArgs(graph, ref.clazz, callee, argVals, Some(sm))
+              val frame = Frame(ev.target, ev.method, cont, new Env(m.vars, vars.clone()), resultVar)
               val out = Invoke(ev.requestId, ev.seq + 1, EntityAddr(ref.clazz, ref.key),
-                               m, EntryBlock, calleeEnv, frame :: ev.stack)
+                               callee, EntryBlock, calleeEnv, frame :: ev.stack)
               return result(out)
             case Ret(v) =>
-              val ret = Eval.expr(v, vars, fields, cd, Eval.noRemote)
+              val ret = Eval.expr(v, vars, fields, Eval.noRemote)
               return result(finish(ev, ret))
           }
         }
@@ -121,7 +137,7 @@ object OperatorExec {
     case Nil => Reply(ev.requestId, ret)
     case frame :: rest =>
       Invoke(ev.requestId, ev.seq + 1, frame.caller, frame.method, frame.contBlock,
-             frame.env + (frame.resultVar -> ret), rest)
+             frame.env.updated(frame.resultVar, ret), rest)
   }
 
   /** The egress/re-entry loop (§3): the egress routes every output event
@@ -164,16 +180,21 @@ object OperatorExec {
                    method: String, args: List[Value]): Invoke =
     Invoke(requestId, 0L, target, method, EntryBlock, bindArgs(graph, target.clazz, method, args, None), Nil)
 
-  /** The callee's variable map for a call of `clazz.method` with `args`:
-    * each parameter bound to its argument. An arity error names the callee
-    * and, for a call from a split function, the `caller`. */
+  /** The callee's variables for a call of `clazz.method` with `args`: each
+    * parameter bound to its argument, under the callee's layout. An arity
+    * error names the callee and, for a call from a split function, the
+    * `caller`. */
   private def bindArgs(graph: DataflowGraph, clazz: String, method: String, args: List[Value],
-                       caller: Option[SplitFunction]): Map[String, Value] = {
-    val params = graph.operator(clazz).method(method).params
-    if (params.length != args.length)
+                       caller: Option[SplitFunction]): Env = {
+    val m = graph.operator(clazz).method(method)
+    val slots = m.paramSlots
+    if (slots.length != args.length)
       throw new IllegalArgumentException(
-        s"$clazz.$method expects ${params.length} args, got ${args.length}" +
+        s"$clazz.$method expects ${slots.length} args, got ${args.length}" +
           caller.fold("")(sm => s" at call from ${sm.clazz}.${sm.name}"))
-    params.map(_._1).zip(args).toMap
+    val vars = new Array[Value](m.vars.size)
+    var i = 0
+    args.foreach { a => vars(slots(i)) = a; i += 1 }
+    new Env(m.vars, vars)
   }
 }

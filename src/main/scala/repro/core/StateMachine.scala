@@ -141,21 +141,31 @@ object StateMachine {
 
   /** How a method is executed by an operator: either inline (no remote
     * calls — the straightforward case of §2.3's opening) or via its split
-    * state machine. `writes` is the method's write set as the checker
-    * computed it (`TypeChecker.TypeInfo.writes`); it sits in a second
-    * parameter list, so a match on a method's code does not name it. */
+    * state machine, in both cases resolved to slots ([[Resolve]]). `writes`
+    * is the method's write set as the checker computed it
+    * (`TypeChecker.TypeInfo.writes`); it sits in a second parameter list,
+    * so a match on a method's code does not name it. `vars` is the method's
+    * variable layout and `paramSlots` the slots of its parameters. */
   sealed trait CompiledMethod {
     def name: String
     def params: List[(String, EType)]
     def writes: Set[String]
+    def vars: Layout
+    def paramSlots: Array[Int]
   }
-  final case class InlineMethod(clazz: String, fd: FunctionDef)(val writes: Set[String])
+  final case class InlineMethod(clazz: String, code: Resolve.Code)(val writes: Set[String])
       extends CompiledMethod {
-    def name: String = fd.name
-    def params: List[(String, EType)] = fd.params
+    def name: String = code.fd.name
+    def params: List[(String, EType)] = code.fd.params
+    def vars: Layout = code.vars
+    def paramSlots: Array[Int] = code.params
   }
-  final case class SplitMethod(sm: SplitFunction)(val writes: Set[String]) extends CompiledMethod {
+  /** `blocks` indexes the machine's dense block ids. */
+  final case class SplitMethod(sm: SplitFunction)(val writes: Set[String], val vars: Layout)
+      extends CompiledMethod {
     def name: String = sm.name
     def params: List[(String, EType)] = sm.params
+    val paramSlots: Array[Int] = sm.params.map(p => vars.slot(p._1)).toArray
+    val blocks: Array[Block] = Array.tabulate(sm.size)(sm.block)
   }
 }

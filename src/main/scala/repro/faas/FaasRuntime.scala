@@ -19,7 +19,9 @@ import repro.core.Dataflow.DataflowGraph
   * A hop whose method has an empty write set, on an entity already stored,
   * puts nothing, so read-only hops never write stale state back over a
   * concurrent writer's. State is stored in the typed state text
-  * ([[Codec.encodeState]]). Cross-entity hops become *new invocations*
+  * ([[Codec.encodeState]]), read and written straight from and to the
+  * field array under the class's layout. Cross-entity hops become *new
+  * invocations*
   * through the ingress loop, and state consistency depends entirely on the
   * KV store: without locking (the paper's setting) concurrent
   * read-modify-write invocations of the same entity can lose updates —
@@ -35,9 +37,14 @@ final class FaasRuntime(graph: DataflowGraph, val kv: SimKV = new SimKV()) {
 
   private def classDef(clazz: String): Ast.ClassDef = graph.operator(clazz).cd
 
-  def seed(clazz: String, key: String, fields: Map[String, Value]): Unit =
-    kv.put(stateKey(EntityAddr(clazz, key)),
-           Codec.encodeState(classDef(clazz), snapshot(clazz, key) ++ fields))
+  def seed(clazz: String, key: String, fields: Map[String, Value]): Unit = {
+    val cd = classDef(clazz)
+    val stored = load(cd, EntityAddr(clazz, key)).getOrElse(cd.initialFields(key))
+    kv.put(stateKey(EntityAddr(clazz, key)), Codec.encodeState(cd, cd.layout.updated(stored, fields)))
+  }
+
+  private def load(cd: Ast.ClassDef, addr: EntityAddr): Option[Array[Value]] =
+    kv.get(stateKey(addr)).map(Codec.decodeFields(cd, _))
 
   /** One Lambda invocation: state load → block execution → state store,
     * skipped when the hop changed nothing; the output event goes to the
@@ -47,7 +54,7 @@ final class FaasRuntime(graph: DataflowGraph, val kv: SimKV = new SimKV()) {
     val key = stateKey(ev.target)
     val cd = classDef(ev.target.clazz)
     OperatorExec.egress(kv.withKeyLock(key) {
-      val res = OperatorExec.step(graph, kv.get(key).map(Codec.decodeState(cd, _)), ev)
+      val res = OperatorExec.stepFields(graph, load(cd, ev.target), ev)
       if (res.changed) kv.put(key, Codec.encodeState(cd, res.fields))
       res.out
     })
@@ -84,7 +91,8 @@ final class FaasRuntime(graph: DataflowGraph, val kv: SimKV = new SimKV()) {
     }
   }
 
-  def snapshot(clazz: String, key: String): Map[String, Value] =
-    kv.get(stateKey(EntityAddr(clazz, key))).map(Codec.decodeState(classDef(clazz), _))
-      .getOrElse(graph.operator(clazz).initialState(key))
+  def snapshot(clazz: String, key: String): Map[String, Value] = {
+    val cd = classDef(clazz)
+    load(cd, EntityAddr(clazz, key)).fold(cd.initialState(key))(cd.layout.toMap)
+  }
 }

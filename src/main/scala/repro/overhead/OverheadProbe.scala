@@ -17,7 +17,7 @@ import repro.faas.SimKV
   *
   *  - event decode (`Events.decode`) — runtime (the engine's serializers:
   *    Kafka/Flink deserialize events before user code runs);
-  *  - state read (`SimKV.get`) and decode (`Codec.decodeState`) — runtime;
+  *  - state read (`SimKV.get`) and decode (`Codec.decodeFields`) — runtime;
   *  - routing and object construction (`OperatorExec.enter`) — **StateFlow**
   *    ("some of the components, like object construction, are attributed to
   *    StateFlow's overhead");
@@ -103,7 +103,7 @@ object OverheadProbe {
       measure = i >= 0
       val ev = timed(Events.decode(eventJson).asInstanceOf[Invoke])(tHeader += _)
       val stored = timed(kv.get(addr.routingKey).get)(tStore += _)
-      val fields = timed(Codec.decodeState(cd, stored))(tDecode += _)
+      val fields = timed(Codec.decodeFields(cd, stored))(tDecode += _)
       val act = timed(OperatorExec.enter(graph, Some(fields), ev))(tEnter += _)
       val res = timed(OperatorExec.resume(act))(tExec += _)
       val encoded = timed(Codec.encodeState(cd, res.fields))(tEncode += _)

@@ -30,15 +30,19 @@ final class LocalRuntime(val graph: DataflowGraph) {
     * request chains, and by tests to check hop routes. */
   val traces = mutable.Map.empty[String, Vector[EntityAddr]]
 
-  /** Entity field maps by (class, key), for entities that materialized. */
-  private val state = mutable.HashMap.empty[EntityAddr, Map[String, Value]]
+  /** Entity field arrays, under their class's layout, by (class, key), for
+    * entities that materialized. */
+  private val state = mutable.HashMap.empty[EntityAddr, Array[Value]]
 
   private var nextRequest = 0L
 
   /** Seed an entity's state directly (workload initialization): `fields`
     * are merged onto the entity's current state. */
-  def seed(clazz: String, key: String, fields: Map[String, Value]): Unit =
-    state(EntityAddr(clazz, key)) = snapshot(clazz, key) ++ fields
+  def seed(clazz: String, key: String, fields: Map[String, Value]): Unit = {
+    val addr = EntityAddr(clazz, key)
+    val cd = graph.operator(clazz).cd
+    state(addr) = cd.layout.updated(state.getOrElse(addr, cd.initialFields(key)), fields)
+  }
 
   /** Invoke an entity method and run the dataflow to completion; returns
     * the client-visible return value. */
@@ -62,12 +66,14 @@ final class LocalRuntime(val graph: DataflowGraph) {
     * the hop changed it. */
   private def hop(ev: Invoke): Either[Invoke, (String, Value)] = {
     traces.updateWith(ev.requestId)(t => Some(t.getOrElse(Vector.empty) :+ ev.target))
-    val res = OperatorExec.step(graph, state.get(ev.target), ev)
+    val res = OperatorExec.stepFields(graph, state.get(ev.target), ev)
     if (res.changed) state(ev.target) = res.fields
     OperatorExec.egress(res.out)
   }
 
   /** Snapshot of one entity's state (defaults if never touched). */
-  def snapshot(clazz: String, key: String): Map[String, Value] =
-    state.getOrElse(EntityAddr(clazz, key), graph.operator(clazz).initialState(key))
+  def snapshot(clazz: String, key: String): Map[String, Value] = {
+    val cd = graph.operator(clazz).cd
+    state.get(EntityAddr(clazz, key)).fold(cd.initialState(key))(cd.layout.toMap)
+  }
 }

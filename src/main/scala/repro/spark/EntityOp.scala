@@ -57,18 +57,18 @@ object EntityOp {
       packets: Seq[PacketRow],
   ): (Option[String], Seq[OutRow]) = {
     val addr = EntityAddr.fromRoutingKey(routingKey)
-    var fields: Option[Map[String, Value]] = state0.map(Codec.decodeEnv)
+    val cd = graph.operator(addr.clazz).cd
+    var fields: Option[Array[Value]] = state0.map(s => cd.layout.remap(Codec.readEnv(s)))
     var changed = false
     val outs = Seq.newBuilder[OutRow]
     packets.sortBy(sortKey).foreach { p =>
       p.kind match {
         case KindSeed =>
-          val base = fields.getOrElse(graph.operator(addr.clazz).initialState(addr.key))
-          fields = Some(base ++ Codec.decodeEnv(p.body))
+          fields = Some(cd.layout.updated(fields.getOrElse(cd.initialFields(addr.key)), Codec.decodeEnv(p.body)))
           changed = true
         case KindEvent =>
           val ev = Events.decode(p.body).asInstanceOf[Invoke]
-          val res = OperatorExec.step(graph, fields, ev)
+          val res = OperatorExec.stepFields(graph, fields, ev)
           fields = Some(res.fields)
           changed ||= res.changed
           res.out match {
@@ -82,7 +82,7 @@ object EntityOp {
           throw new IllegalArgumentException(s"unknown packet kind $other")
       }
     }
-    (if (changed) fields.map(Codec.encodeEnv) else state0, outs.result())
+    (if (changed) fields.map(a => Codec.encodeEnv(new Env(cd.layout, a))) else state0, outs.result())
   }
 
   /** An emitted event row as [[OperatorExec.reenter]] takes it: a hop that

@@ -333,6 +333,31 @@ class CodecSpec extends SparkSpec with PropSupport {
     })
   }
 
+  // A string with no escape is read as one substring; from the first
+  // backslash on, the escape loop reads it. Both fail on malformed text.
+
+  test("strings decode with and without escapes") {
+    List("", "plain", "a\"b", "\\", "tail\n", "\u00e9x", "x" * 1000 + "\t" + "y" * 1000)
+      .foreach(s => assert(Codec.decodeValue(Codec.encodeValue(str(s))) == str(s)))
+  }
+
+  test("an unterminated string fails with IllegalArgumentException") {
+    List("{\"t\":\"s\",\"v\":\"abc", "{\"t\":\"s\",\"v\":\"ab\\\"c").foreach { s =>
+      val e = intercept[IllegalArgumentException](Codec.decodeValue(s))
+      assert(e.getMessage.contains("unexpected end of input"), s)
+    }
+  }
+
+  test("a truncated \\u escape fails with IllegalArgumentException") {
+    val e = intercept[IllegalArgumentException](Codec.decodeValue("{\"t\":\"s\",\"v\":\"ab\\u00"))
+    assert(e.getMessage.contains("truncated"))
+  }
+
+  test("a bad escape fails with IllegalArgumentException") {
+    val e = intercept[IllegalArgumentException](Codec.decodeValue("{\"t\":\"s\",\"v\":\"a\\qb\"}"))
+    assert(e.getMessage.contains("bad escape"))
+  }
+
   test("malformed events fail with IllegalArgumentException") {
     val bad = List(
       goldenInvokeText.dropRight(1),                    // truncated

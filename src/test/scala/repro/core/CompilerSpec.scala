@@ -30,7 +30,7 @@ class CompilerSpec extends SparkSpec {
   test("T1: function call arguments travel in the event header") {
     val ev = OperatorExec.initialEvent(graph, "r1", Events.EntityAddr("User", "u1"),
       "buy_item", List(int(2), int(3), ref("Item", "i1")))
-    assert(ev.env == Map("amount" -> int(2), "price" -> int(3), "item" -> ref("Item", "i1")))
+    assert(ev.env.toMap == Map("amount" -> int(2), "price" -> int(3), "item" -> ref("Item", "i1")))
     assert(ev.method == "buy_item")
     assert(ev.block == OperatorExec.EntryBlock)
   }
@@ -106,5 +106,62 @@ class CompilerSpec extends SparkSpec {
   test("IR is self-contained: operators carry method schemas for routing") {
     val m = graph.operator("User").method("checkout")
     assert(m.params.map(_._1) == List("item", "amount"))
+  }
+
+  // ------------------------------------------------------------- IR golden
+
+  /** Each block of every split machine: id (`*` marks the entry), params,
+    * defines and terminator targets. */
+  private def blocks(p: Ast.Program): String =
+    Compiler.compile(p).splitMethods.flatMap { sm =>
+      sm.blocks.values.toList.sortBy(_.id).map { b =>
+        s"${sm.clazz}.${sm.name} ${b.id}${if (b.id == sm.entry) "*" else ""} " +
+          s"p=${b.params.toList.sorted.mkString(",")} d=${b.defines.toList.sorted.mkString(",")} " +
+          s"t=${b.term.targets.mkString(",")}"
+      }
+    }.mkString("\n")
+
+  // Pinned before variables and fields were resolved to slots; resolving
+  // must leave every block's id, params, defines and targets as they were.
+  test("golden: the split machines of HotelApp, Shop and OverheadProbe") {
+    assert(blocks(repro.deathstar.HotelApp.program) ==
+      "Recommendation.recommend 0* p=k d=best,rate t=1\n" +
+      "Recommendation.recommend 1 p=best d=out,prof t=2\n" +
+      "Recommendation.recommend 2 p=out d= t=\n" +
+      "Reservation.reserve 0* p=h,in_date,out_date d=ok t=1\n" +
+      "Reservation.reserve 1 p=ok d= t=2,3\n" +
+      "Reservation.reserve 2 p=h,u d=added t=3\n" +
+      "Reservation.reserve 3 p=ok d= t=\n" +
+      "Search.search 0* p= d=geo,nearby t=1\n" +
+      "Search.search 1 p=nearby d=ranked,rate t=2\n" +
+      "Search.search 2 p=ranked d=$it0,$ix0,avail,top t=3\n" +
+      "Search.search 3 p=$it0,$ix0 d= t=4,5\n" +
+      "Search.search 4 p=$it0,$ix0,in_date,out_date d=h,ok t=6\n" +
+      "Search.search 5 p=avail d=out,prof t=7\n" +
+      "Search.search 6 p=ok d= t=8,9\n" +
+      "Search.search 7 p=out d= t=\n" +
+      "Search.search 8 p=avail,h d=avail t=9\n" +
+      "Search.search 9 p=$ix0 d=$ix0 t=3")
+    assert(blocks(Shop.program) ==
+      "User.add_to_basket 0* p=items d=$it0,$ix0,total_price t=1\n" +
+      "User.add_to_basket 1 p=$it0,$ix0 d= t=2,3\n" +
+      "User.add_to_basket 2 p=$it0,$ix0 d=$r0,item t=4\n" +
+      "User.add_to_basket 3 p=total_price d= t=5,6\n" +
+      "User.add_to_basket 4 p=$r0 d= t=7,8\n" +
+      "User.add_to_basket 5 p= d= t=\n" +
+      "User.add_to_basket 6 p=items d= t=\n" +
+      "User.add_to_basket 7 p=item d=price t=9\n" +
+      "User.add_to_basket 8 p=$ix0 d=$ix0 t=1\n" +
+      "User.add_to_basket 9 p=price,total_price d=total_price t=8\n" +
+      "User.buy_item 0* p=amount,item,price d=is_removed,total_price t=1\n" +
+      "User.buy_item 1 p=total_price d= t=\n" +
+      "User.checkout 0* p=item d=price t=1\n" +
+      "User.checkout 1 p=amount,price d=cost t=2,3\n" +
+      "User.checkout 2 p= d= t=\n" +
+      "User.checkout 3 p=amount,item d=removed t=4\n" +
+      "User.checkout 4 p=removed d= t=5,6\n" +
+      "User.checkout 5 p=cost d= t=\n" +
+      "User.checkout 6 p= d= t=")
+    assert(blocks(repro.overhead.OverheadProbe.program) == "") // Blob.bump stays inline
   }
 }

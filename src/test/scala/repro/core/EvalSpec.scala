@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import repro.SparkSpec
 import Ast._
 import EType._
@@ -9,12 +8,29 @@ import Value._
 /** The shared local-evaluation core (expressions + remote-free statements). */
 class EvalSpec extends SparkSpec {
 
-  private val emptyClass = ClassDef("T", "k", List(FieldDef("k", TStr, str(""))), Nil)
+  /** Runs `body` as method `t` of class `T`, with `vars` bound as its
+    * parameters, over `fields`. `T` declares the key `k`, the names of
+    * `fields` and `declared`, and has the methods `methods` besides `t`.
+    * Returns the flow and the variables and fields afterwards. */
+  private def run(body: List[Stmt], vars: Map[String, Value] = Map.empty,
+                  fields: Map[String, Value] = Map.empty, declared: List[String] = Nil,
+                  methods: List[FunctionDef] = Nil): (Eval.Flow, Map[String, Value], Map[String, Value]) = {
+    val names = ("k" :: fields.keys.toList ++ declared).distinct
+    val cd = ClassDef("T", "k", names.map(FieldDef(_, TInfer, VUnit)),
+      FunctionDef("t", vars.keys.toList.map(_ -> TInfer), TInfer, body) :: methods)
+    val code = new Resolve.ClassSlots(cd, cd.methods).codes("t")
+    val vs = code.vars.array(vars)
+    val fs = cd.layout.array(fields)
+    val flow = Eval.exec(code.fd.body, vs, fs, Eval.noRemote)
+    (flow, code.vars.toMap(vs), cd.layout.toMap(fs))
+  }
 
   private def ev(e: Expr, vars: Map[String, Value] = Map.empty,
                  fields: Map[String, Value] = Map.empty): Value =
-    Eval.expr(e, mutable.Map.empty ++ vars, mutable.Map.empty ++ fields,
-              emptyClass, Eval.noRemote)
+    run(List(Return(e)), vars, fields)._1 match {
+      case Eval.Returned(v) => v
+      case Eval.FellThrough => fail("a return fell through")
+    }
 
   test("integer arithmetic") {
     assert(ev(BinOp("+", Const(int(2)), Const(int(3)))) == int(5))
@@ -74,6 +90,40 @@ class EvalSpec extends SparkSpec {
     intercept[NoSuchElementException](ev(FieldGet("missing")))
   }
 
+  test("reading a slot never assigned throws NoSuchElementException naming it") {
+    val v = intercept[NoSuchElementException](run(List(Assign("y", TInt, Const(int(1))), Return(Var("x")))))
+    assert(v.getMessage.contains("x"))
+    // `f` is declared, so it has a slot, but the state binds no value to it.
+    val f = intercept[NoSuchElementException](run(List(Return(FieldGet("f"))), declared = List("f")))
+    assert(f.getMessage.contains("f"))
+  }
+
+  test("a variable assigned in one if branch is read after the join") {
+    val body = List(
+      If(Var("c"), List(Assign("x", TInt, Const(int(1)))), Nil),
+      Return(Var("x")),
+    )
+    assert(run(body, vars = Map("c" -> bool(true)))._1 == Eval.Returned(int(1)))
+    val e = intercept[NoSuchElementException](run(body, vars = Map("c" -> bool(false))))
+    assert(e.getMessage.contains("unbound var x"))
+  }
+
+  test("a self call runs in its own variables and leaves the caller's slots unchanged") {
+    // `inner` has its own `x` and `y`; the caller's `x` and `z` keep their values.
+    val inner = FunctionDef("inner", List("x" -> TInt), TInt, List(
+      Assign("y", TInt, BinOp("*", Var("x"), Const(int(10)))),
+      SetVar("x", Const(int(-1))),
+      Return(Var("y")),
+    ))
+    val (flow, vars, _) = run(List(
+      Assign("x", TInt, Const(int(4))),
+      Assign("z", TInt, SelfCall("inner", List(Var("x")))),
+      Return(BinOp("+", Var("x"), Var("z"))),
+    ), methods = List(inner))
+    assert(flow == Eval.Returned(int(44)))
+    assert(vars == Map("x" -> int(4), "z" -> int(40)))
+  }
+
   test("builtins: len/get/append/concat/contains/slice") {
     val xs = list(TInt, int(10), int(20), int(30))
     assert(Eval.builtin("len", List(xs)) == int(3))
@@ -107,30 +157,26 @@ class EvalSpec extends SparkSpec {
   }
 
   test("exec: assignment, reassignment, field mutation") {
-    val vars = mutable.Map.empty[String, Value]
-    val fields = mutable.Map[String, Value]("bal" -> int(10))
-    val flow = Eval.exec(List(
+    val (flow, vars, fields) = run(List(
       Assign("x", TInt, Const(int(1))),
       SetVar("x", BinOp("+", Var("x"), Const(int(1)))),
       SetField("bal", BinOp("+", FieldGet("bal"), Var("x"))),
-    ), vars, fields, emptyClass, Eval.noRemote)
+    ), fields = Map("bal" -> int(10)))
     assert(flow == Eval.FellThrough)
     assert(vars("x") == int(2))
     assert(fields("bal") == int(12))
   }
 
   test("exec: if takes correct branch and returns propagate") {
-    val vars = mutable.Map[String, Value]("a" -> int(5))
-    val flow = Eval.exec(List(
+    val (flow, _, _) = run(List(
       If(BinOp(">", Var("a"), Const(int(3))),
         List(Return(Const(str("big")))),
         List(Return(Const(str("small"))))),
-    ), vars, mutable.Map.empty, emptyClass, Eval.noRemote)
+    ), vars = Map("a" -> int(5)))
     assert(flow == Eval.Returned(str("big")))
   }
 
   test("exec: for-loop accumulates and early return exits loop") {
-    val vars = mutable.Map.empty[String, Value]
     val body = List(
       Assign("sum", TInt, Const(int(0))),
       ForEach("i", TInt, Builtin("range", List(Const(int(10)))), List(
@@ -139,12 +185,10 @@ class EvalSpec extends SparkSpec {
       )),
       Return(Const(int(-1))),
     )
-    assert(Eval.exec(body, vars, mutable.Map.empty, emptyClass, Eval.noRemote) ==
-      Eval.Returned(int(10))) // 0+1+2+3+4
+    assert(run(body)._1 == Eval.Returned(int(10))) // 0+1+2+3+4
   }
 
   test("exec: while loop") {
-    val vars = mutable.Map.empty[String, Value]
     val body = List(
       Assign("n", TInt, Const(int(1))),
       While(BinOp("<", Var("n"), Const(int(100))), List(
@@ -152,8 +196,7 @@ class EvalSpec extends SparkSpec {
       )),
       Return(Var("n")),
     )
-    assert(Eval.exec(body, vars, mutable.Map.empty, emptyClass, Eval.noRemote) ==
-      Eval.Returned(int(128)))
+    assert(run(body)._1 == Eval.Returned(int(128)))
   }
 
   test("remote call in remote-free context throws") {
@@ -163,18 +206,13 @@ class EvalSpec extends SparkSpec {
   }
 
   test("self-call executes inline against same fields") {
-    val cd = ClassDef("C", "k",
-      List(FieldDef("k", TStr, str("")), FieldDef("n", TInt, int(0))),
-      List(
-        FunctionDef("bump", List("by" -> TInt), TInt, List(
-          SetField("n", BinOp("+", FieldGet("n"), Var("by"))),
-          Return(FieldGet("n")),
-        )),
-      ))
-    val fields = mutable.Map[String, Value]("k" -> str("x"), "n" -> int(5))
-    val out = Eval.expr(SelfCall("bump", List(Const(int(3)))),
-      mutable.Map.empty, fields, cd, Eval.noRemote)
-    assert(out == int(8))
+    val bump = FunctionDef("bump", List("by" -> TInt), TInt, List(
+      SetField("n", BinOp("+", FieldGet("n"), Var("by"))),
+      Return(FieldGet("n")),
+    ))
+    val (out, _, fields) = run(List(Return(SelfCall("bump", List(Const(int(3)))))),
+      fields = Map("k" -> str("x"), "n" -> int(5)), methods = List(bump))
+    assert(out == Eval.Returned(int(8)))
     assert(fields("n") == int(8))
   }
 

@@ -112,6 +112,35 @@ class InterpreterSpec extends SparkSpec {
     assert(s("userid") == str("x"))
   }
 
+  test("a self call gets its own variables, split or not, and leaves the caller's unchanged") {
+    import Ast._
+    // `inner` has its own `x`; the caller's `x` (and `p`, held across the
+    // remote call) keep their values.
+    val c = ClassDef("C", "id", List(FieldDef("id", TStr, str("")), FieldDef("n", TInt, int(0))), List(
+      FunctionDef("inner", List("x" -> TInt), TInt, List(
+        Assign("y", TInt, BinOp("*", Var("x"), Const(int(10)))),
+        SetVar("x", Const(int(-1))),
+        SetField("n", Var("y")),
+        Return(Var("y")),
+      )),
+      FunctionDef("outer", List("it" -> TRef("Item")), TInt, List(
+        Assign("x", TInt, Const(int(4))),
+        Assign("p", TInt, RemoteCall(Var("it"), "get_price", Nil)),
+        Assign("z", TInt, SelfCall("inner", List(BinOp("+", Var("x"), Var("p"))))),
+        Return(BinOp("+", BinOp("*", Var("x"), Const(int(1000))), BinOp("+", Var("z"), Var("p")))),
+      )),
+    ))
+    val p = Program(List(Shop.item, c))
+    val it = new Interpreter(p)
+    it.seed("Item", "a", Map("price" -> int(7)))
+    assert(it.invoke("C", "c", "outer", List(ref("Item", "a"))) == int(4117))
+    assert(it.snapshot("C", "c")("n") == int(110))
+    val rt = new repro.runtime.LocalRuntime(Compiler.compile(p))
+    rt.seed("Item", "a", Map("price" -> int(7)))
+    assert(rt.invoke("C", "c", "outer", List(ref("Item", "a"))) == int(4117))
+    assert(rt.snapshot("C", "c") == it.snapshot("C", "c"))
+  }
+
   test("entitiesOf lists materialized entities") {
     val it = freshShop()
     assert(it.entitiesOf("Item").keySet == Set("apple", "tv", "out"))

@@ -39,7 +39,7 @@ class OperatorExecSpec extends SparkSpec {
         assert(next.target == EntityAddr("Item", "i1"))
         assert(next.method == "remove_stock")
         assert(next.block == EntryBlock)
-        assert(next.env == Map("amount" -> int(2)))
+        assert(next.env.toMap == Map("amount" -> int(2)))
         assert(next.stack.length == 1)
         val frame = next.stack.head
         assert(frame.caller == EntityAddr("User", "u1"))
@@ -135,6 +135,124 @@ class OperatorExecSpec extends SparkSpec {
       "a fresh entity materializes: its state changed")
     val write = step(graph, Some(st), invokeEv("Item", "i1", "remove_stock", List(int(1))))
     assert(write.changed && write.fields("stock") == int(4))
+  }
+
+  /** Every event of one request, stepped over per-entity state maps. */
+  private def chain(g: Dataflow.DataflowGraph, first: Invoke,
+                    state: collection.mutable.Map[EntityAddr, Map[String, Value]]): List[Event] = {
+    var ev: Event = first
+    val out = List.newBuilder[Event]
+    while (ev.isInstanceOf[Invoke]) {
+      val i = ev.asInstanceOf[Invoke]
+      val res = step(g, state.get(i.target), i)
+      state(i.target) = res.fields
+      out += i
+      ev = res.out
+    }
+    (out += ev).result()
+  }
+
+  private def shopState: collection.mutable.Map[EntityAddr, Map[String, Value]] = {
+    val item = graph.operator("Item")
+    collection.mutable.Map(
+      EntityAddr("Item", "a") -> (item.initialState("a") ++ Map("stock" -> int(5), "price" -> int(3))),
+      EntityAddr("Item", "b") -> (item.initialState("b") ++ Map("stock" -> int(0), "price" -> int(9))),
+      EntityAddr("Item", "c") -> (item.initialState("c") ++ Map("stock" -> int(2), "price" -> int(4))))
+  }
+
+  test("the desugared $it/$ix pair travels in the caller's frame across each call") {
+    val items = list(TRef("Item"), ref("Item", "a"), ref("Item", "b"), ref("Item", "c"))
+    val evs = chain(graph, invokeEv("User", "u1", "add_to_basket", List(items)), shopState)
+    val calls = evs.collect { case i: Invoke if i.target.clazz == "Item" => i }
+    assert(calls.map(c => (c.target.key, c.method)) == List(
+      "a" -> "enough_stock", "a" -> "get_price", "b" -> "enough_stock", "c" -> "enough_stock", "c" -> "get_price"))
+    calls.foreach { c =>
+      val frame = c.stack.head.env
+      assert(frame("$it0") == items)
+      assert(frame("item") == items.asList(frame("$ix0").asInt.toInt), s"frame of the call to ${c.target}")
+    }
+    assert(evs.last == Reply("r1", bool(true)))
+  }
+
+  test("a variable assigned in one if branch survives a suspension and is read after the join") {
+    import Ast._
+    val p = Program(List(Shop.item, ClassDef("C", "id", List(FieldDef("id", TStr, str(""))), List(
+      FunctionDef("m", List("flag" -> TBool, "it" -> TRef("Item")), TInt, List(
+        If(Var("flag"), List(Assign("x", TInt, Const(int(100)))), Nil),
+        Assign("p", TInt, RemoteCall(Var("it"), "get_price", Nil)),
+        If(Var("flag"), List(Return(BinOp("+", Var("x"), Var("p")))), Nil),
+        Return(Var("p")),
+      ))))))
+    val g = Compiler.compile(p)
+    for (flag <- List(true, false)) {
+      val st = collection.mutable.Map(EntityAddr("Item", "a") ->
+        (g.operator("Item").initialState("a") + ("price" -> int(7))))
+      val evs = chain(g, initialEvent(g, "r1", EntityAddr("C", "c"), "m", List(bool(flag), ref("Item", "a"))), st)
+      val frame = evs(1).asInstanceOf[Invoke].stack.head.env
+      assert(frame.toMap.contains("x") == flag, "an unassigned variable is not carried")
+      assert(evs.last == Reply("r1", int(if (flag) 107 else 7)))
+      val it = new Interpreter(p)
+      it.seed("Item", "a", Map("price" -> int(7)))
+      assert(it.invoke("C", "c", "m", List(bool(flag), ref("Item", "a"))) == int(if (flag) 107 else 7))
+    }
+  }
+
+  test("stepping one event twice from one stored array gives equal results and writes neither") {
+    val item = graph.operator("Item").cd
+    val user = graph.operator("User").cd
+    val itemSt = item.layout.array(item.initialState("i1") ++ Map("stock" -> int(5), "price" -> int(2)))
+    val userSt = user.layout.array(user.initialState("u1"))
+    val suspended = stepFields(graph, Some(userSt),
+      invokeEv("User", "u1", "buy_item", List(int(2), int(3), ref("Item", "i1")))).out.asInstanceOf[Invoke]
+    val resumed = stepFields(graph, Some(itemSt), suspended).out.asInstanceOf[Invoke]
+    val cases = List(
+      itemSt -> invokeEv("Item", "i1", "remove_stock", List(int(3))), // writer, inline
+      itemSt -> invokeEv("Item", "i1", "get_price", Nil),              // read-only, inline
+      userSt -> invokeEv("User", "u1", "checkout", List(ref("Item", "i1"), int(1))), // split, suspends
+      itemSt -> suspended,                                             // pops nothing, pushes a reply to the frame
+      userSt -> resumed,                                               // continuation
+    )
+    cases.foreach { case (stored, ev) =>
+      val storedBefore = stored.clone()
+      val envBefore = ev.env.values.clone()
+      val framesBefore = ev.stack.map(_.env.values.clone())
+      val a = stepFields(graph, Some(stored), ev)
+      val b = stepFields(graph, Some(stored), ev)
+      assert(a.out == b.out && a.changed == b.changed && a.fields.sameElements(b.fields), s"$ev")
+      assert(stored.sameElements(storedBefore), s"stored array written by $ev")
+      assert(ev.env.values.sameElements(envBefore), s"event array written by $ev")
+      assert(ev.stack.map(_.env.values).zip(framesBefore).forall { case (x, y) => x.sameElements(y) })
+      assert(a.changed || (a.fields eq stored), "a read-only hop reads the stored array in place")
+    }
+  }
+
+  test("events built by resume round-trip through the codec and step alike") {
+    val items = list(TRef("Item"), ref("Item", "a"), ref("Item", "b"), ref("Item", "c"))
+    val hotel = Compiler.compile(repro.deathstar.HotelApp.program)
+    val hotelSt = collection.mutable.Map.empty[EntityAddr, Map[String, Value]]
+    repro.deathstar.HotelApp.seeds(2, 5, 4).foreach { case (c, k, f) =>
+      hotelSt(EntityAddr(c, k)) = hotel.operator(c).initialState(k) ++ f
+    }
+    val runs = List(
+      graph -> chain(graph, invokeEv("User", "u1", "add_to_basket", List(items)), shopState),
+      graph -> chain(graph, invokeEv("User", "u1", "checkout", List(ref("Item", "a"), int(2))), shopState),
+      hotel -> chain(hotel, initialEvent(hotel, "s", EntityAddr("Search", "reg-0"), "search",
+        List(int(3), int(5))), hotelSt),
+    )
+    assert(runs.map(_._2.size) == List(12, 6, 18))
+    runs.foreach { case (g, evs) =>
+      evs.foreach { ev =>
+        val back = Events.decode(Events.encode(ev))
+        assert(back == ev)
+        (ev, back) match {
+          case (i: Invoke, j: Invoke) =>
+            assert(!(j.env.layout eq i.env.layout)) // decoded: a layout of its own names
+            val st = Option(g.operator(i.target.clazz).cd.initialFields(i.target.key))
+            assert(stepFields(g, st, i).out == stepFields(g, st, j).out)
+          case _ => ()
+        }
+      }
+    }
   }
 
   test("remote self-call routes through the dataflow like any other call") {
